@@ -321,6 +321,10 @@ def test_streaming_groupby_bounds_peak_resident_rows():
     streaming = build_highcard_engine("vectorized", streaming=True)
     block = build_highcard_engine("vectorized", streaming=False)
     row = build_highcard_engine("row")
+    # The path labels asserted below are the serial pipeline's; "auto"
+    # would let the host's core count pick "stream_parallel" instead.
+    streaming.parallelism = 1
+    block.parallelism = 1
 
     stream_seconds, stream_result = time_query(streaming, HIGHCARD_QUERY)
     block_seconds, block_result = time_query(block, HIGHCARD_QUERY)

@@ -27,12 +27,11 @@ from repro.common.parallel import (
     partition_count_for,
     resolve_parallelism,
 )
-from repro.common.schema import Column, Relation, Row, Schema, TableDefinition
+from repro.common.schema import Column, ColumnarRelation, Relation, Row, Schema, TableDefinition
 from repro.engines.base import (
     DEFAULT_CHUNK_ROWS,
     Engine,
     EngineCapability,
-    columnar_relation_chunks,
 )
 from repro.engines.relational.executor import Executor
 from repro.engines.relational.optimizer import Optimizer
@@ -262,13 +261,25 @@ class RelationalEngine(Engine, TableStatisticsProvider):
     def export_chunks(self, name: str, chunk_size: int = DEFAULT_CHUNK_ROWS) -> Iterator[Relation]:
         """Stream the table scan as bounded *columnar* chunks.
 
-        Each chunk is a :class:`~repro.common.schema.ColumnarRelation` built
-        straight from the heap table's value tuples — no per-row ``Row``
-        objects — so a CAST whose codec reads columns (the binary columnar
-        layout) moves data from storage to the wire zero-conversion.
+        Each chunk is a :class:`~repro.common.schema.ColumnarRelation` over
+        slices of the table's scan image — no per-row ``Row`` objects and no
+        transpose — so a CAST whose codec reads columns (the binary columnar
+        layout) moves data from storage to the wire zero-conversion.  The
+        slices are handed over as lists (one C-level copy each) because the
+        codecs iterate them in Python.  The image is captured here, so the
+        export is a snapshot of the table as of this call even if writes
+        land while it streams.
         """
         table = self.table(name)
-        return columnar_relation_chunks(table.schema, table.scan_values(), chunk_size)
+        schema = table.schema
+        slices = table.scan_image().slices(chunk_size)
+
+        def generate() -> Iterator[Relation]:
+            for length, columns in slices:
+                check_cancelled()  # chunk boundary: cancelled exports stop here
+                yield ColumnarRelation(schema, [column.tolist() for column in columns], length)
+
+        return generate()
 
     def import_chunks(self, name: str, schema: Schema, chunks: Iterable[Relation],
                       **options: Any) -> None:

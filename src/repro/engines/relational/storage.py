@@ -4,15 +4,62 @@ A :class:`HeapTable` stores rows in insertion order keyed by a monotonically
 increasing row id, with optional B+tree secondary indexes kept in sync on
 insert, update and delete.  Deletes are tombstoned so row ids remain stable
 for index entries and in-flight scans.
+
+Sequential scans read a columnar **scan image** (:class:`ScanImage`) rather
+than the row tuples: one read-only 1-D object ndarray per column, holding the
+very Python objects the rows hold.  The image is built lazily, on the first
+:meth:`HeapTable.scan_image` after a mutation, by filling one 2-D object grid
+straight from the flattened row tuples (each column is a view of it), and is
+stamped with the table's mutation version.  Every
+``insert``/``update``/``delete``/``truncate`` moves the version and releases
+the stale image at once, so at most one image per table is alive besides
+those held by running scans.  A published image is never mutated (its arrays
+are flagged read-only): a scan that captured it reads a consistent snapshot
+however the table changes under it.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Iterator, Sequence
+
+import numpy as np
 
 from repro.common.errors import ConstraintViolationError, ObjectNotFoundError, SchemaError
 from repro.common.schema import Row, Schema
 from repro.engines.relational.btree import BTreeIndex
+
+
+class ScanImage:
+    """A read-only columnar snapshot of a heap table's live rows."""
+
+    __slots__ = ("version", "columns", "length")
+
+    def __init__(self, version: int, columns: tuple[np.ndarray, ...], length: int) -> None:
+        self.version = version
+        self.columns = columns
+        self.length = length
+
+    @classmethod
+    def build(cls, version: int, rows: list[tuple[Any, ...]], width: int) -> "ScanImage":
+        length = len(rows)
+        # One pass in C, no per-column tuples and no transient copy: the
+        # grid is the only allocation the size of the table.
+        grid = np.fromiter(
+            itertools.chain.from_iterable(rows), dtype=object, count=length * width
+        ).reshape(length, width)
+        grid.flags.writeable = False
+        return cls(version, tuple(grid[:, i] for i in range(width)), length)
+
+    def slices(self, size: int) -> Iterator[tuple[int, list[np.ndarray]]]:
+        """Yield ``(length, column views)`` for consecutive row ranges of at
+        most ``size`` rows, in insertion order."""
+        if size <= 0:
+            raise ValueError(f"slice size must be positive, got {size}")
+        return (
+            (min(size, self.length - start), [column[start : start + size] for column in self.columns])
+            for start in range(0, self.length, size)
+        )
 
 
 class HeapTable:
@@ -24,6 +71,11 @@ class HeapTable:
         self.primary_key = tuple(primary_key)
         self._rows: dict[int, tuple[Any, ...]] = {}
         self._next_row_id = 0
+        self._version = 0
+        self._versions = itertools.count(1)
+        self._image: ScanImage | None = None
+        #: Number of scan images built (one per read after a mutation).
+        self.image_builds = 0
         self._indexes: dict[str, tuple[tuple[str, ...], BTreeIndex]] = {}
         if self.primary_key:
             for col in self.primary_key:
@@ -54,6 +106,7 @@ class HeapTable:
         self._next_row_id += 1
         for columns, index in self._indexes.values():
             index.insert(self._key_for(validated, columns), row_id)
+        self._mutated()
         return row_id
 
     def insert_many(self, rows: Sequence[Sequence[Any]]) -> list[int]:
@@ -72,6 +125,7 @@ class HeapTable:
         for columns, index in self._indexes.values():
             index.delete(self._key_for(values, columns), row_id)
         del self._rows[row_id]
+        self._mutated()
 
     def update(self, row_id: int, new_values: Sequence[Any]) -> None:
         """Replace a row in place, maintaining all indexes."""
@@ -81,6 +135,7 @@ class HeapTable:
             index.delete(self._key_for(old, columns), row_id)
             index.insert(self._key_for(validated, columns), row_id)
         self._rows[row_id] = validated
+        self._mutated()
 
     def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
         """Yield (row_id, values) for every live row in insertion order."""
@@ -90,23 +145,38 @@ class HeapTable:
         """Yield raw value tuples for every live row in insertion order."""
         yield from self._rows.values()
 
-    def scan_batches(self, batch_size: int) -> Iterator[list[tuple[Any, ...]]]:
-        """Yield the table's value tuples in bounded, insertion-ordered batches.
+    @property
+    def version(self) -> int:
+        """Mutation version: a fresh value after every insert, update, delete
+        and truncate."""
+        return self._version
 
-        This is the vectorized executor's (and the columnar export path's)
-        entry point: it bounds memory per batch and never constructs a
-        :class:`Row` object.
+    def _mutated(self) -> None:
+        # Runs after the rows change, and drops the stale image now rather
+        # than at the next scan.  An image built concurrently from older
+        # rows carries an older stamp, so the next reader rebuilds it.
+        # Versions come from a counter (``next`` is atomic), so concurrent
+        # writers never store the same value twice and a stale stamp can
+        # never become current again; no lock on the insert path.
+        self._version = next(self._versions)
+        self._image = None
+
+    def scan_image(self) -> ScanImage:
+        """The columnar image of the live rows at the current version.
+
+        Built at most once per version; callers slice it and must not
+        mutate it.  Capturing the returned object pins a snapshot.
         """
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        batch: list[tuple[Any, ...]] = []
-        for values in self._rows.values():
-            batch.append(values)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
+        image = self._image
+        version = self._version
+        if image is None or image.version != version:
+            # ``list`` copies the row references in one step, so a writer
+            # cannot resize the dict under the build.
+            image = ScanImage.build(version, list(self._rows.values()), len(self.schema))
+            self.image_builds += 1
+            if self._version == version:
+                self._image = image
+        return image
 
     def rows(self) -> Iterator[Row]:
         """Yield :class:`Row` objects for every live row."""
@@ -116,6 +186,7 @@ class HeapTable:
     def truncate(self) -> None:
         """Remove all rows but keep schema and index definitions."""
         self._rows.clear()
+        self._mutated()
         definitions = [(name, cols) for name, (cols, _idx) in self._indexes.items()]
         self._indexes.clear()
         for name, cols in definitions:

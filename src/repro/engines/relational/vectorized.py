@@ -7,16 +7,20 @@ per-tuple overhead the Cambridge report calls out.  This module is the cure:
 
 * **Batches, not rows.**  Operators stream
   :class:`~repro.common.schema.ColumnBatch` objects (bounded column-wise
-  slices) straight out of :class:`HeapTable.scan_batches`, so no operator
-  ever builds a full ``Relation`` of ``Row`` objects.
+  slices).  A sequential scan slices views of the table's columnar scan
+  image (:meth:`HeapTable.scan_image`), captured when the plan opens, so
+  scanning transposes nothing and a write landing mid-scan cannot disturb
+  it; no operator ever builds a full ``Relation`` of ``Row`` objects.
 * **Compile once, run per batch.**  Predicates, projections, join keys,
   group keys and sort keys are lowered once per plan node with
   :meth:`Expression.compile` into positional-tuple closures — no per-row
   name resolution or isinstance dispatch.
-* **numpy kernels where the data allows.**  When a predicate only touches
-  numeric columns (dtype mapping shared with the array island), it is
+* **numpy kernels where the data allows.**  A predicate over numeric
+  columns (dtype mapping shared with the array island), TEXT ``=``/``!=``/
+  ``<>`` against a string literal and TEXT ``IN`` over string literals is
   lowered to a numpy mask kernel with SQL three-valued NULL semantics, so a
-  filter over a 100k-row batch is a handful of vector ops.
+  filter over a 100k-row batch is a handful of vector ops.  TEXT ordering
+  comparisons and ``LIKE`` keep the compiled row closure.
 * **Key-encoded joins and group-bys.**  Join keys and grouping keys are
   factorized once into dense int64 codes (:mod:`repro.common.keycodes`);
   a hash join probes whole batches with ``np.take`` gathers over a CSR
@@ -96,12 +100,21 @@ DEFAULT_BATCH_ROWS = 4096
 #: numpy dtype per scalar type, shared with the array island's buffers so a
 #: relational batch and an array chunk agree on the wire representation.
 #: Only types whose Python values pack losslessly into a fixed-width numpy
-#: array participate in kernels; TEXT/TIMESTAMP predicates use the compiled
-#: row closure instead.
+#: array participate in numeric kernels.  TEXT columns take part only in
+#: equality and IN against string literals, compared elementwise over the
+#: object column itself (see :func:`_lower_text`); every other TEXT or
+#: TIMESTAMP predicate uses the compiled row closure.
 _KERNEL_DTYPES = {
     dtype: _ARRAY_ISLAND_DTYPES[dtype]
     for dtype in (DataType.INTEGER, DataType.FLOAT, DataType.BOOLEAN)
 }
+
+#: Column-environment marker for a TEXT column: kept as its object array.
+_TEXT_COLUMN = object
+
+#: Comparisons a TEXT column supports in a kernel (ordering stays on the
+#: row closure).
+_TEXT_EQUALITY_OPS = ("=", "==", "!=", "<>")
 
 _COMPARE_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "=": operator.eq,
@@ -202,6 +215,61 @@ def _require_float_columns(expr: Expression, schema: Schema) -> None:
             raise _KernelUnsupported(f"arithmetic over non-float column {name!r}")
 
 
+def _text_column(expr: Expression, schema: Schema) -> int | None:
+    """The schema index of ``expr`` when it is a reference to a TEXT column."""
+    if isinstance(expr, ColumnRef):
+        index = schema.index_of(expr.name)
+        if schema.columns[index].dtype is DataType.TEXT:
+            return index
+    return None
+
+
+def _lower_text(expr: Expression, schema: Schema, columns: dict[int, Any]) -> _KernelNode | None:
+    """Lower TEXT ``col = 'x'`` / ``!=`` / ``<>`` and ``col [NOT] IN ('x', ...)``.
+
+    The comparison runs elementwise over the object column with Python
+    ``==``, the very operator the row closure applies, so the values agree
+    row for row; NULL rows are removed by the column's null mask exactly as
+    the row path's ``_null_safe`` yields NULL.  Returns None for any other
+    shape, leaving it to the numeric lowering (which rejects TEXT columns).
+    """
+    if isinstance(expr, BinaryOp) and expr.op.lower() in _TEXT_EQUALITY_OPS:
+        fn = _COMPARE_OPS[expr.op.lower()]
+        for column_expr, literal_expr in ((expr.left, expr.right), (expr.right, expr.left)):
+            index = _text_column(column_expr, schema)
+            if (
+                index is not None
+                and isinstance(literal_expr, Literal)
+                and isinstance(literal_expr.value, str)
+            ):
+                columns[index] = _TEXT_COLUMN
+                literal = literal_expr.value
+
+                def _text_compare(env: dict, active: np.ndarray) -> tuple[Any, np.ndarray | None]:
+                    vals, nulls = env[index]
+                    return fn(vals, literal), nulls
+
+                return _text_compare
+        return None
+    if isinstance(expr, InList):
+        index = _text_column(expr.operand, schema)
+        if index is None or not expr.values or not all(isinstance(v, str) for v in expr.values):
+            return None
+        columns[index] = _TEXT_COLUMN
+        members = expr.values
+        negated = expr.negated
+
+        def _text_in(env: dict, active: np.ndarray) -> tuple[Any, np.ndarray | None]:
+            vals, nulls = env[index]
+            result = vals == members[0]
+            for member in members[1:]:
+                result |= vals == member
+            return (~result if negated else result), nulls
+
+        return _text_in
+    return None
+
+
 def _lower(expr: Expression, schema: Schema, columns: dict[int, Any]) -> tuple[_KernelNode, bool]:
     """Lower ``expr``; returns (kernel node, produces-boolean-values).
 
@@ -211,6 +279,9 @@ def _lower(expr: Expression, schema: Schema, columns: dict[int, Any]) -> tuple[_
     AND/OR to operands that produce genuine booleans keeps the two paths
     identical; anything else falls back to the compiled row closure.
     """
+    text = _lower_text(expr, schema, columns)
+    if text is not None:
+        return text, True
     if isinstance(expr, Literal):
         value = expr.value
         if not isinstance(value, (bool, int, float)) or value is None:
@@ -348,6 +419,33 @@ def _lower(expr: Expression, schema: Schema, columns: dict[int, Any]) -> tuple[_
     raise _KernelUnsupported(type(expr).__name__)
 
 
+def _typed_column(objects: np.ndarray, dtype: Any) -> tuple[np.ndarray, np.ndarray | None]:
+    """An object column as (typed values, null mask | None) for a kernel.
+
+    Values at NULL positions are unspecified (the kernel masks them out).
+    A float cast turns ``None`` into NaN, so only NaN positions need the
+    per-object NULL test; an integer cast rejects ``None`` outright, so
+    the NULL mask is built only for columns that hold one.  Booleans cast
+    ``None`` to False silently and always take the masked path.
+    """
+    if dtype is np.float64:
+        vals = objects.astype(np.float64)
+        nulls = np.isnan(vals)
+        if not nulls.any():
+            return vals, None
+        nulls[nulls] = np.equal(objects[nulls], None)
+        return vals, (nulls if nulls.any() else None)
+    if dtype is not np.bool_:
+        try:
+            return objects.astype(dtype), None
+        except TypeError:
+            pass
+    nulls = _null_mask_of(objects)
+    if not nulls.any():
+        return objects.astype(dtype), None
+    return np.where(nulls, 0, objects).astype(dtype), nulls
+
+
 class FilterKernel:
     """A predicate lowered to a numpy mask function over a ColumnBatch."""
 
@@ -360,13 +458,12 @@ class FilterKernel:
         env: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
         for index, dtype in self._columns:
             column = batch.columns[index]
-            if None in column:
-                nulls = np.fromiter((v is None for v in column), np.bool_, count=length)
-                vals = np.asarray([0 if v is None else v for v in column], dtype=dtype)
+            objects = _object_view(column)
+            if dtype is _TEXT_COLUMN:
+                nulls = _null_mask_of(objects)
+                env[index] = (objects, nulls if nulls.any() else None)
             else:
-                nulls = None
-                vals = np.asarray(column, dtype=dtype)
-            env[index] = (vals, nulls)
+                env[index] = _typed_column(objects, dtype)
         vals, nulls = self._fn(env, np.ones(length, dtype=np.bool_))
         mask = _as_bool(vals)
         if mask.ndim == 0:
@@ -595,15 +692,18 @@ class BatchExecutor:
         table = self._engine.table(node.table)
         schema = Executor._qualified_schema(table.schema, node.alias or node.table)
         predicate = None if node.predicate is None else _PredicateRunner(node.predicate, schema)
+        # Captured when the plan opens: later writes to the table publish a
+        # new image and leave this scan's snapshot untouched.
+        image = table.scan_image()
 
         def generate() -> Iterator[ColumnBatch]:
             token = current_token()
-            for values in table.scan_batches(self._batch_rows):
+            for length, columns in image.slices(self._batch_rows):
                 if token is not None:
                     # Cooperative cancellation: a timed-out or abandoned
                     # query stops at the next batch, not at end-of-scan.
                     token.check()
-                batch = ColumnBatch.from_value_rows(schema, values)
+                batch = ColumnBatch(schema, columns, length)
                 if predicate is not None:
                     batch = predicate(batch)
                 if len(batch):
