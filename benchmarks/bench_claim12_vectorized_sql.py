@@ -321,10 +321,6 @@ def test_streaming_groupby_bounds_peak_resident_rows():
     streaming = build_highcard_engine("vectorized", streaming=True)
     block = build_highcard_engine("vectorized", streaming=False)
     row = build_highcard_engine("row")
-    # The path labels asserted below are the serial pipeline's; "auto"
-    # would let the host's core count pick "stream_parallel" instead.
-    streaming.parallelism = 1
-    block.parallelism = 1
 
     stream_seconds, stream_result = time_query(streaming, HIGHCARD_QUERY)
     block_seconds, block_result = time_query(block, HIGHCARD_QUERY)
@@ -376,71 +372,14 @@ def test_streaming_groupby_bounds_peak_resident_rows():
 
 
 # --------------------------------------------------------------------- ISSUE 6
-# Morsel-driven parallelism: a core-count sweep over the parallel join and
-# group-by pipelines, plus a larger-than-budget build that must complete via
-# partition spill.  Byte-identity across worker counts and spill paths is
-# asserted unconditionally; the >=2x speedup floor at 4 workers only applies
-# on machines that actually have >=4 cores and in the full-size run —
-# a 1-core CI container cannot observe thread-level speedup.
-
-WORKER_SWEEP = (1, 2, 4)
-PARALLEL_SPEEDUP_FLOOR = 2.0
-PARALLEL_WORKLOADS = {
-    "parallel_join": WORKLOADS["join_inner_large"],
-    "parallel_group_by": HIGHCARD_QUERY,
-}
+# A join whose build side is larger than the memory budget must complete via
+# partition spill, byte-identical to the in-memory join.
 
 
-def build_parallel_engine(workload: str, workers: int,
-                          budget: int | None = None) -> RelationalEngine:
-    if workload == "parallel_group_by":
-        engine = build_highcard_engine("vectorized")
-    else:
-        engine = build_engine("vectorized")
-    engine.parallelism = workers
+def build_join_engine(budget: int | None) -> RelationalEngine:
+    engine = build_engine("vectorized")
     engine.join_memory_budget = budget
     return engine
-
-
-@pytest.mark.parametrize("workload", sorted(PARALLEL_WORKLOADS))
-def test_parallel_worker_sweep(workload):
-    """ISSUE-6 acceptance: worker count changes latency, never a byte."""
-    query = PARALLEL_WORKLOADS[workload]
-    codec = BinaryCodec()
-    timings: dict[int, float] = {}
-    encoded: bytes | None = None
-    for workers in WORKER_SWEEP:
-        engine = build_parallel_engine(workload, workers)
-        seconds, result = time_query(engine, query)
-        timings[workers] = seconds
-        payload = codec.encode(result)
-        if encoded is None:
-            encoded = payload
-        else:
-            assert payload == encoded, (
-                f"{workload}: results must be byte-identical at {workers} workers"
-            )
-    sweep = " ".join(f"w{w}={timings[w] * 1000:.1f}ms" for w in WORKER_SWEEP)
-    speedup = timings[1] / timings[4] if timings[4] > 0 else float("inf")
-    print(
-        f"\n[claim12:{workload}] rows={ROW_COUNT} cores={os.cpu_count()} "
-        f"{sweep} speedup_4w={speedup:.2f}x"
-    )
-    from bench_recording import record_bench
-
-    record_bench(
-        "claim12", workload,
-        rows=ROW_COUNT,
-        cores=os.cpu_count(),
-        seconds_by_workers={str(w): timings[w] for w in WORKER_SWEEP},
-        speedup_4_workers=speedup,
-        smoke=SMOKE,
-    )
-    if not SMOKE and (os.cpu_count() or 1) >= 4:
-        assert speedup >= PARALLEL_SPEEDUP_FLOOR, (
-            f"{workload}: 4 workers must be >= {PARALLEL_SPEEDUP_FLOOR}x over "
-            f"serial on a >=4-core machine, got {speedup:.2f}x"
-        )
 
 
 def test_join_spill_budget_completes_and_matches():
@@ -449,13 +388,13 @@ def test_join_spill_budget_completes_and_matches():
     byte-identical to the unbudgeted in-memory join."""
     query = WORKLOADS["join_inner_large"]
     codec = BinaryCodec()
-    unbudgeted = build_parallel_engine("parallel_join", 1, budget=None)
+    unbudgeted = build_join_engine(budget=None)
     _, expected = time_query(unbudgeted, query)
     assert unbudgeted.partitions_spilled == 0
 
     # dim_big (the build side) holds BIG_DIM_COUNT rows; a budget of a few
     # hundred bytes is orders of magnitude below it at any size.
-    budgeted = build_parallel_engine("parallel_join", 1, budget=512)
+    budgeted = build_join_engine(budget=512)
     seconds, result = time_query(budgeted, query)
     assert codec.encode(result) == codec.encode(expected), (
         "spilled join drifted from the in-memory join"

@@ -2,7 +2,7 @@
 
 A :class:`CancellationToken` carries a query's deadline plus an explicit
 cancel flag.  The scheduler creates one per submitted query and installs
-it in an ambient thread-local scope; engines, the morsel executor and the
+it in an ambient thread-local scope; engines, the batch executor and the
 chunked CAST pipeline call :func:`check_cancelled` at batch/chunk
 boundaries, so a timed-out or client-abandoned query stops mid-scan
 instead of running to completion and being discarded.
@@ -10,8 +10,8 @@ instead of running to completion and being discarded.
 The ambient scope composes with the tracing context: ``capture_context``
 snapshots the active token together with the active span/tracer, and
 ``with_context`` re-installs all three, so the token crosses the runtime
-worker pool, plan-wave threads and morsel workers exactly the way trace
-context already does.
+worker pool and plan-wave threads exactly the way trace context already
+does.
 
 When no token is active (library used without the runtime, or tracing a
 bare island call) every check is a near-free ``None`` test — the same

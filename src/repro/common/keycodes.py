@@ -222,8 +222,7 @@ def partition_codes(codes: np.ndarray, num_partitions: int) -> list[np.ndarray]:
 
     Row ``i`` lands in partition ``codes[i] % num_partitions``; rows keep
     their input order inside each partition, so per-partition processing in
-    partition-then-row order is deterministic regardless of which worker
-    handles which partition.  Rows with negative codes (:data:`NULL_CODE`)
+    partition-then-row order is deterministic.  Rows with negative codes (:data:`NULL_CODE`)
     belong to no partition and are excluded — join and group keys shard on
     real key identity only.
 

@@ -20,13 +20,6 @@ from repro.common.errors import (
     ObjectNotFoundError,
 )
 from repro.common.expressions import compile_predicate
-from repro.common.parallel import (
-    PARALLELISM_AUTO,
-    TaskContext,
-    WorkerCredits,
-    partition_count_for,
-    resolve_parallelism,
-)
 from repro.common.schema import Column, ColumnarRelation, Relation, Row, Schema, TableDefinition
 from repro.engines.base import (
     DEFAULT_CHUNK_ROWS,
@@ -115,19 +108,13 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         #: group-by reached — or the whole block size when the block path
         #: runs, which is exactly what the CI memory guard watches for.
         self.peak_groupby_resident_rows = 0
-        #: Intra-query worker count: ``"auto"`` (core count, capped) or an
-        #: explicit integer ≥ 1.  1 keeps the pipeline fully serial.
-        self._parallelism: int | str = PARALLELISM_AUTO
-        #: Fleet-wide extra-worker budget, installed by the runtime so one
-        #: big query cannot starve the many-client path (None standalone).
-        self.task_credits: WorkerCredits | None = None
         #: Build-side memory budget in (estimated) bytes for hash joins;
         #: None disables the budget.  Over budget, the join switches to the
         #: radix-partitioned spill path instead of pinning the build block.
         self.join_memory_budget: int | None = None
         #: Fan-out of the spill path's radix partitioning (and its recursion).
         self.join_spill_partitions = 8
-        #: Parallel-pipeline observability, surfaced by the runtime metrics:
+        #: Batch-pipeline observability, surfaced by the runtime metrics:
         #: scan morsels executed, build partitions spilled to disk, the
         #: largest estimated resident build-side footprint, and columns
         #: dropped from group-by representative rows.
@@ -178,39 +165,6 @@ class RelationalEngine(Engine, TableStatisticsProvider):
                 f"execution_mode must be one of {EXECUTION_MODES}, got {mode!r}"
             )
         self._execution_mode = mode
-
-    @property
-    def parallelism(self) -> int | str:
-        """Intra-query workers: ``"auto"`` or an explicit integer ≥ 1."""
-        return self._parallelism
-
-    @parallelism.setter
-    def parallelism(self, value: int | str) -> None:
-        resolve_parallelism(value)  # validates
-        self._parallelism = value
-
-    def effective_parallelism(self) -> int:
-        """The concrete worker count ``parallelism`` resolves to right now."""
-        return resolve_parallelism(self._parallelism)
-
-    def task_context(self) -> TaskContext:
-        """A per-query :class:`TaskContext` honoring the parallelism knob.
-
-        When the runtime installed :attr:`task_credits`, extra workers are
-        borrowed non-blockingly from the fleet-wide budget and returned on
-        ``close()`` — under concurrent client load a query gets fewer (or
-        zero) extra workers and degrades toward serial execution.
-        """
-        workers = self.effective_parallelism()
-        if workers <= 1:
-            return TaskContext(1)
-        credits = self.task_credits
-        if credits is None:
-            return TaskContext(workers)
-        extra = credits.acquire_up_to(workers - 1)
-        if extra == 0:
-            return TaskContext(1)
-        return TaskContext(extra + 1, on_close=lambda: credits.release(extra))
 
     # ------------------------------------------------------------- Engine API
     @property
@@ -450,11 +404,6 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         stats_line = self._stats_line(tables)
         if stats_line:
             header = f"{header}\n{stats_line}"
-        workers = self.effective_parallelism()
-        header = (
-            f"{header}\nParallel(workers={workers}, "
-            f"partitions={partition_count_for(workers)})"
-        )
         profiler: PlanProfiler | None = None
         total_s: float | None = None
         result_rows: int | None = None

@@ -112,14 +112,12 @@ class Executor:
         if node.equals is not None:
             matches = table.index_lookup(node.index_name, node.equals)
         else:
-            matches = list(
-                table.index_range(
-                    node.index_name,
-                    low=node.low,
-                    high=node.high,
-                    include_low=node.include_low,
-                    include_high=node.include_high,
-                )
+            matches = table.index_range(
+                node.index_name,
+                low=node.low,
+                high=node.high,
+                include_low=node.include_low,
+                include_high=node.include_high,
             )
         for _row_id, values in matches:
             row = Row(schema, values)

@@ -16,11 +16,16 @@ the stale image at once, so at most one image per table is alive besides
 those held by running scans.  A published image is never mutated (its arrays
 are flagged read-only): a scan that captured it reads a consistent snapshot
 however the table changes under it.
+
+The runtime admits more than one operation per engine at a time, so every
+write and every index access holds the table's lock: row-id allocation, the
+primary-key check and the B+tree updates happen as one step.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -70,6 +75,7 @@ class HeapTable:
         self.schema = schema
         self.primary_key = tuple(primary_key)
         self._rows: dict[int, tuple[Any, ...]] = {}
+        self._lock = threading.Lock()
         self._next_row_id = 0
         self._version = 0
         self._versions = itertools.count(1)
@@ -94,20 +100,30 @@ class HeapTable:
     def insert(self, values: Sequence[Any]) -> int:
         """Validate, store and index one row. Returns the new row id."""
         validated = self.schema.validate_row(values)
-        row_id = self._next_row_id
-        for index_name, (columns, index) in self._indexes.items():
-            key = self._key_for(validated, columns)
-            if index is not None and index_name == "__pk__":
-                if index.search(key):
+        with self._lock:
+            pk = self._indexes.get("__pk__")
+            if pk is not None:
+                key = self._key_for(validated, pk[0])
+                if pk[1].search(key):
                     raise ConstraintViolationError(
                         f"duplicate primary key {key!r} in table {self.name!r}"
                     )
-        self._rows[row_id] = validated
-        self._next_row_id += 1
-        for columns, index in self._indexes.values():
-            index.insert(self._key_for(validated, columns), row_id)
-        self._mutated()
+            row_id = self._next_row_id
+            self._next_row_id += 1
+            self._store(row_id, validated)
         return row_id
+
+    def restore(self, row_id: int, values: tuple[Any, ...]) -> None:
+        """Put a deleted row back under its original row id and re-index it
+        (transaction rollback of a DELETE)."""
+        with self._lock:
+            self._store(row_id, values)
+
+    def _store(self, row_id: int, values: tuple[Any, ...]) -> None:
+        self._rows[row_id] = values
+        for columns, index in self._indexes.values():
+            index.insert(self._key_for(values, columns), row_id)
+        self._mutated()
 
     def insert_many(self, rows: Sequence[Sequence[Any]]) -> list[int]:
         """Insert a batch of rows; returns their row ids."""
@@ -121,21 +137,23 @@ class HeapTable:
 
     def delete(self, row_id: int) -> None:
         """Delete one row by id, maintaining all indexes."""
-        values = self.get(row_id)
-        for columns, index in self._indexes.values():
-            index.delete(self._key_for(values, columns), row_id)
-        del self._rows[row_id]
-        self._mutated()
+        with self._lock:
+            values = self.get(row_id)
+            for columns, index in self._indexes.values():
+                index.delete(self._key_for(values, columns), row_id)
+            del self._rows[row_id]
+            self._mutated()
 
     def update(self, row_id: int, new_values: Sequence[Any]) -> None:
         """Replace a row in place, maintaining all indexes."""
-        old = self.get(row_id)
         validated = self.schema.validate_row(new_values)
-        for columns, index in self._indexes.values():
-            index.delete(self._key_for(old, columns), row_id)
-            index.insert(self._key_for(validated, columns), row_id)
-        self._rows[row_id] = validated
-        self._mutated()
+        with self._lock:
+            old = self.get(row_id)
+            for columns, index in self._indexes.values():
+                index.delete(self._key_for(old, columns), row_id)
+                index.insert(self._key_for(validated, columns), row_id)
+            self._rows[row_id] = validated
+            self._mutated()
 
     def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
         """Yield (row_id, values) for every live row in insertion order."""
@@ -185,12 +203,11 @@ class HeapTable:
 
     def truncate(self) -> None:
         """Remove all rows but keep schema and index definitions."""
-        self._rows.clear()
-        self._mutated()
-        definitions = [(name, cols) for name, (cols, _idx) in self._indexes.items()]
-        self._indexes.clear()
-        for name, cols in definitions:
-            self.create_index(name, cols, unique=(name == "__pk__"), if_not_exists=True)
+        with self._lock:
+            self._rows.clear()
+            self._mutated()
+            for name, (cols, _index) in self._indexes.items():
+                self._indexes[name] = (cols, BTreeIndex(unique=(name == "__pk__")))
 
     # ---------------------------------------------------------------- indexes
     def create_index(
@@ -201,23 +218,27 @@ class HeapTable:
         if_not_exists: bool = False,
     ) -> None:
         """Create a B+tree index over the named columns and backfill it."""
-        if index_name in self._indexes:
-            if if_not_exists:
-                return
-            raise SchemaError(f"index {index_name!r} already exists on {self.name!r}")
         for col in columns:
             if not self.schema.has_column(col):
                 raise SchemaError(f"index column {col!r} not in table {self.name!r}")
-        index = BTreeIndex(unique=unique)
-        resolved = tuple(columns)
-        for row_id, values in self._rows.items():
-            index.insert(self._key_for(values, resolved), row_id)
-        self._indexes[index_name] = (resolved, index)
+        with self._lock:
+            if index_name in self._indexes:
+                if if_not_exists:
+                    return
+                raise SchemaError(f"index {index_name!r} already exists on {self.name!r}")
+            index = BTreeIndex(unique=unique)
+            resolved = tuple(columns)
+            for row_id, values in self._rows.items():
+                index.insert(self._key_for(values, resolved), row_id)
+            self._indexes[index_name] = (resolved, index)
 
     def drop_index(self, index_name: str) -> None:
-        if index_name not in self._indexes:
-            raise ObjectNotFoundError(f"index {index_name!r} does not exist on {self.name!r}")
-        del self._indexes[index_name]
+        with self._lock:
+            if index_name not in self._indexes:
+                raise ObjectNotFoundError(
+                    f"index {index_name!r} does not exist on {self.name!r}"
+                )
+            del self._indexes[index_name]
 
     def indexes(self) -> dict[str, tuple[str, ...]]:
         """Return {index name: indexed columns}."""
@@ -233,10 +254,15 @@ class HeapTable:
 
     def index_lookup(self, index_name: str, key: Any) -> list[tuple[int, tuple[Any, ...]]]:
         """Equality lookup through an index; returns (row_id, values) pairs."""
-        columns, index = self._indexes[index_name]
         if not isinstance(key, tuple):
             key = (key,)
-        return [(row_id, self._rows[row_id]) for row_id in index.search(key) if row_id in self._rows]
+        with self._lock:
+            _columns, index = self._indexes[index_name]
+            return [
+                (row_id, self._rows[row_id])
+                for row_id in index.search(key)
+                if row_id in self._rows
+            ]
 
     def index_range(
         self,
@@ -245,14 +271,17 @@ class HeapTable:
         high: Any = None,
         include_low: bool = True,
         include_high: bool = True,
-    ) -> Iterator[tuple[int, tuple[Any, ...]]]:
+    ) -> list[tuple[int, tuple[Any, ...]]]:
         """Range scan through an index; returns (row_id, values) pairs in key order."""
-        _columns, index = self._indexes[index_name]
         low_key = (low,) if low is not None and not isinstance(low, tuple) else low
         high_key = (high,) if high is not None and not isinstance(high, tuple) else high
-        for _key, row_id in index.range_scan(low_key, high_key, include_low, include_high):
-            if row_id in self._rows:
-                yield row_id, self._rows[row_id]
+        with self._lock:
+            _columns, index = self._indexes[index_name]
+            return [
+                (row_id, self._rows[row_id])
+                for _key, row_id in index.range_scan(low_key, high_key, include_low, include_high)
+                if row_id in self._rows
+            ]
 
     def _key_for(self, values: Sequence[Any], columns: Sequence[str]) -> tuple[Any, ...]:
         return tuple(values[self.schema.index_of(col)] for col in columns)

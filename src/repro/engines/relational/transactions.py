@@ -64,9 +64,8 @@ class Transaction:
                 if record.row_id in table._rows:
                     table.delete(record.row_id)
             elif record.kind == "delete":
-                # Re-insert with the original values (row id is not preserved,
-                # which is acceptable for the engine's usage).
-                table.insert(record.before)
+                # Same row id, so an earlier insert's undo still finds it.
+                table.restore(record.row_id, record.before)
             elif record.kind == "update":
                 table.update(record.row_id, record.before)
         if self._undo:

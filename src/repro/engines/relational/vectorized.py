@@ -65,9 +65,7 @@ from repro.common.keycodes import (
     IncrementalGroupEncoder,
     JoinKeyTable,
     encode_group_keys,
-    partition_codes,
 )
-from repro.common.parallel import TaskContext, partition_count_for
 from repro.common.schema import Column, ColumnBatch, Relation, Row, Schema
 from repro.common.schema import object_view as _object_view
 from repro.common.types import DataType, infer_type
@@ -536,14 +534,6 @@ class BatchExecutor:
         #: duration of one query; None keeps the pipeline unobserved.
         self.profiler = None
 
-    # -------------------------------------------------------------- parallelism
-    def _task_context(self) -> TaskContext:
-        """Per-query task context from the engine (serial when absent)."""
-        factory = getattr(self._engine, "task_context", None)
-        if factory is not None:
-            return factory()
-        return TaskContext(1)
-
     def _record_morsel(self) -> None:
         record = getattr(self._engine, "record_morsels", None)
         if record is not None:
@@ -869,55 +859,15 @@ class BatchExecutor:
             )
             build_codes = table.build_codes
             group_count = table.group_count
-            ctx = self._task_context()
             # CSR layout: build row ids grouped by code, original order kept
             # within each code so match order equals build insertion order.
-            if ctx.workers > 1 and group_count and len(build_block) >= 2048:
-                # Parallel build: each radix partition owns a disjoint set of
-                # codes, hence disjoint slices of the shared CSR arrays —
-                # scatter targets depend only on codes, never on scheduling.
-                valid = build_codes >= 0
-                counts = np.bincount(
-                    build_codes[valid], minlength=group_count
-                ).astype(np.int64)
-                starts = np.zeros(group_count, dtype=np.int64)
-                if group_count > 1:
-                    np.cumsum(counts[:-1], out=starts[1:])
-                sorted_rows = np.empty(int(counts.sum()), dtype=np.int64)
-                part_rows = partition_codes(
-                    build_codes, partition_count_for(ctx.workers)
-                )
-
-                def build_partition(rows_p: np.ndarray) -> None:
-                    if not rows_p.size:
-                        return
-                    codes_p = build_codes[rows_p]
-                    order_p = np.argsort(codes_p, kind="stable")
-                    cs = codes_p[order_p]
-                    seg_new = np.concatenate(([True], cs[1:] != cs[:-1]))
-                    seg_begin = np.flatnonzero(seg_new)
-                    seg_ids = np.cumsum(seg_new) - 1
-                    offsets = (
-                        np.arange(cs.size, dtype=np.int64) - seg_begin[seg_ids]
-                    )
-                    sorted_rows[starts[cs] + offsets] = rows_p[order_p]
-
-                ctx.run_all(
-                    [
-                        (lambda rows=rows: build_partition(rows))
-                        for rows in part_rows
-                    ]
-                )
-            else:
-                order = np.argsort(build_codes, kind="stable")
-                sorted_codes = build_codes[order]
-                first_valid = int(np.searchsorted(sorted_codes, 0))
-                sorted_rows = order[first_valid:]
-                sorted_codes = sorted_codes[first_valid:]
-                starts = np.searchsorted(sorted_codes, np.arange(group_count))
-                counts = np.bincount(
-                    sorted_codes, minlength=group_count
-                ).astype(np.int64)
+            order = np.argsort(build_codes, kind="stable")
+            sorted_codes = build_codes[order]
+            first_valid = int(np.searchsorted(sorted_codes, 0))
+            sorted_rows = order[first_valid:]
+            sorted_codes = sorted_codes[first_valid:]
+            starts = np.searchsorted(sorted_codes, np.arange(group_count))
+            counts = np.bincount(sorted_codes, minlength=group_count).astype(np.int64)
             build_obj = [_object_view(col) for col in build_block.columns]
             build_matched = (
                 np.zeros(len(build_block), dtype=np.bool_) if track_build else None
@@ -1029,32 +979,14 @@ class BatchExecutor:
                     joined_schema, [col.tolist() for col in ordered_cols], out_len
                 )
 
-            probe_task = probe_one
             tracer = get_tracer()
-            if tracer.enabled:
-
-                def probe_task(batch: ColumnBatch):
-                    with tracer.span(
-                        "join.probe_morsel", kind="operator", rows=len(batch)
-                    ):
-                        return probe_one(batch)
-
-            try:
-                # Morsel-wise probe: the CSR table is read-only after build,
-                # so probe batches fan out to workers; results come back in
-                # input order (matched-bitmap updates applied here, in
-                # order) — output is byte-identical to the serial loop.
-                for matched_rows, out in ctx.map_ordered(probe_task, probe_batches):
-                    if (
-                        build_matched is not None
-                        and matched_rows is not None
-                        and matched_rows.size
-                    ):
-                        build_matched[matched_rows] = True
-                    if out is not None:
-                        yield out
-            finally:
-                ctx.close()
+            for batch in probe_batches:
+                with tracer.span("join.probe_morsel", kind="operator", rows=len(batch)):
+                    matched_rows, out = probe_one(batch)
+                if build_matched is not None:
+                    build_matched[matched_rows] = True
+                if out is not None:
+                    yield out
             if build_matched is not None:
                 unmatched = np.flatnonzero(~build_matched)
                 if unmatched.size:
@@ -1586,65 +1518,56 @@ class BatchExecutor:
             i for i in key_indices if child_schema.columns[i].dtype is DataType.FLOAT
         ]
         encoder = IncrementalGroupEncoder(key_dtypes)
-        ctx = self._task_context()
-        partitions = partition_count_for(ctx.workers) if ctx.workers > 1 else 1
-        state: _StreamingGroupAggregator | _PartitionedGroupAggregator
-        if partitions > 1:
-            state = _PartitionedGroupAggregator(plan, child_schema, partitions, ctx)
-        else:
-            state = _StreamingGroupAggregator(plan, child_schema)
+        state = _StreamingGroupAggregator(plan, child_schema)
         representatives: list[tuple[Any, ...]] = []
         first_values: tuple[Any, ...] | None = None
         peak = 0
         iterator = iter(batches)
-        try:
-            for batch in iterator:
-                n = len(batch)
-                if n == 0:
-                    continue
-                columns = batch.columns
-                if first_values is None:
-                    first_values = next(batch.value_rows())
-                try:
-                    for index in float_keys:
-                        self._reject_nan(columns[index], "NaN grouping key")
-                    prepared = state.prepare(columns, n)
-                except _KernelUnsupported:
-                    groups_out = self._degrade_streaming(
-                        node,
-                        child_schema,
-                        agg_items,
-                        state,
-                        key_indices,
-                        representatives,
-                        itertools.chain([batch], iterator),
-                        rep_cols,
-                    )
-                    self._record_groupby("stream_degraded", peak)
-                    return groups_out, first_values
-                codes, new_first_rows = encoder.encode_batch(
-                    [columns[i] for i in key_indices]
+        for batch in iterator:
+            n = len(batch)
+            if n == 0:
+                continue
+            columns = batch.columns
+            if first_values is None:
+                first_values = next(batch.value_rows())
+            try:
+                for index in float_keys:
+                    self._reject_nan(columns[index], "NaN grouping key")
+                prepared = state.prepare(columns, n)
+            except _KernelUnsupported:
+                groups_out = self._degrade_streaming(
+                    node,
+                    child_schema,
+                    agg_items,
+                    state,
+                    key_indices,
+                    representatives,
+                    itertools.chain([batch], iterator),
+                    rep_cols,
                 )
-                if rep_cols is None:
-                    for row in new_first_rows:
-                        representatives.append(
-                            tuple(column[row] for column in columns)
-                        )
-                else:
-                    for row in new_first_rows:
-                        representatives.append(
-                            tuple(columns[i][row] for i in rep_cols)
-                        )
-                state.accumulate(codes, prepared, encoder.group_count)
-                peak = max(peak, n + encoder.group_count)
-        finally:
-            ctx.close()
+                self._record_groupby("stream_degraded", peak)
+                return groups_out, first_values
+            codes, new_first_rows = encoder.encode_batch(
+                [columns[i] for i in key_indices]
+            )
+            if rep_cols is None:
+                for row in new_first_rows:
+                    representatives.append(
+                        tuple(column[row] for column in columns)
+                    )
+            else:
+                for row in new_first_rows:
+                    representatives.append(
+                        tuple(columns[i][row] for i in rep_cols)
+                    )
+            state.accumulate(codes, prepared, encoder.group_count)
+            peak = max(peak, n + encoder.group_count)
         per_item = state.results()
         groups_out = [
             ((), {i: per_item[i][g] for i, _name, _col in plan}, representatives[g])
             for g in range(encoder.group_count)
         ]
-        self._record_groupby("stream_parallel" if partitions > 1 else "stream", peak)
+        self._record_groupby("stream", peak)
         return groups_out, first_values
 
     def _degrade_streaming(
@@ -1652,7 +1575,7 @@ class BatchExecutor:
         node: AggregateNode,
         child_schema: Schema,
         agg_items: list,
-        state: "_StreamingGroupAggregator | _PartitionedGroupAggregator",
+        state: _StreamingGroupAggregator,
         key_indices: list[int],
         representatives: list[tuple[Any, ...]],
         remaining: Iterator[ColumnBatch],
@@ -2048,92 +1971,3 @@ class _StreamingGroupAggregator:
                     accumulator.load(st["vals"][code].item())
             accumulators[i] = accumulator
         return accumulators
-
-
-class _PartitionedGroupAggregator:
-    """K radix-partitioned streaming aggregators folded by parallel tasks.
-
-    Global group ``g`` lives in partition ``g % k`` under local code
-    ``g // k`` (locals stay dense and first-appearance ordered within each
-    partition).  Each batch dispatches one task per partition and
-    **barriers** before the next batch, so every partition folds batches in
-    stream order and each group's accumulation sequence — including the
-    seeded-bincount float folds — is bit-for-bit the serial aggregator's.
-    The outward interface (prepare/accumulate/results/seeded_accumulators)
-    matches :class:`_StreamingGroupAggregator` exactly.
-    """
-
-    def __init__(
-        self,
-        plan: list[tuple[int, str, int | None]],
-        child_schema: Schema,
-        partitions: int,
-        ctx: TaskContext,
-    ) -> None:
-        self._plan = plan
-        self._k = partitions
-        self._ctx = ctx
-        self._parts = [
-            _StreamingGroupAggregator(plan, child_schema) for _ in range(partitions)
-        ]
-        # Never accumulated into: used only to run ``prepare``'s vetting
-        # (dtype packing, NaN checks, the int-SUM overflow guard).
-        self._probe = _StreamingGroupAggregator(plan, child_schema)
-        self._group_count = 0
-
-    def prepare(self, columns: list, n: int) -> list:
-        # The overflow guard consults accumulated |acc| maxima; sync the
-        # probe's to the max across partitions — which IS the serial
-        # aggregator's abs_max (the global max over all groups) — so the
-        # guard trips on exactly the same batch as single-threaded mode.
-        for i, _name, _col in self._plan:
-            probe_state = self._probe._state[i]
-            if "abs_max" in probe_state:
-                probe_state["abs_max"] = max(
-                    part._state[i]["abs_max"] for part in self._parts
-                )
-        return self._probe.prepare(columns, n)
-
-    def accumulate(self, codes: np.ndarray, prepared: list, group_count: int) -> None:
-        self._group_count = group_count
-        k = self._k
-        part_rows = partition_codes(codes, k)
-
-        def make_task(p: int, rows: np.ndarray):
-            part = self._parts[p]
-            local_count = (group_count - p + k - 1) // k if group_count > p else 0
-
-            def task() -> None:
-                local_codes = codes[rows] // k
-                local_prepared: list[Any] = []
-                for payload in prepared:
-                    if payload is None:
-                        local_prepared.append(None)
-                    else:
-                        present, values = payload
-                        local_prepared.append(
-                            (
-                                present[rows],
-                                None if values is None else values[rows],
-                            )
-                        )
-                part.accumulate(local_codes, local_prepared, local_count)
-
-            return task
-
-        self._ctx.run_all([make_task(p, part_rows[p]) for p in range(k)])
-
-    def results(self) -> dict[int, list[Any]]:
-        part_results = [part.results() for part in self._parts]
-        k = self._k
-        out: dict[int, list[Any]] = {}
-        for i, _name, _col in self._plan:
-            out[i] = [
-                part_results[g % k][i][g // k] for g in range(self._group_count)
-            ]
-        return out
-
-    def seeded_accumulators(self, code: int, items_by_index: dict) -> dict[int, Any]:
-        return self._parts[code % self._k].seeded_accumulators(
-            code // self._k, items_by_index
-        )

@@ -4,7 +4,7 @@
 format — a JSON list of complete (``"ph": "X"``) events with microsecond
 timestamps — so a traced polystore query can be dropped straight into the
 browser's trace viewer: one row per thread (runtime workers, plan-wave
-threads, morsel workers), spans nested by time.
+threads), spans nested by time.
 
 ``to_otlp`` shapes the same spans as an OTLP/JSON ``ExportTraceServiceRequest``
 (``resourceSpans`` → ``scopeSpans`` → ``spans`` with hex ids, nanosecond

@@ -3,8 +3,8 @@
 A :class:`Tracer` collects :class:`Span` records for everything a query does:
 the runtime lifecycle (queued → admitted → planned → executed), each
 cross-island plan step, each CAST stage (export/encode/decode/import per
-chunk) and each relational operator, down to morsel probe waves and spill
-runs.  Spans form a tree via parent ids, and the ambient "current span" is a
+chunk) and each relational operator, down to per-batch join probes and
+spill runs.  Spans form a tree via parent ids, and the ambient "current span" is a
 *module-level thread-local* so span creation anywhere in the stack attaches
 to the right parent without plumbing handles through every layer.
 
@@ -15,8 +15,8 @@ Two properties drive the design:
   thread-local write, no lock.  Hot paths additionally gate per-item spans
   on ``tracer.enabled``.
 * **Context survives thread pools.**  Worker threads (the runtime's
-  scheduler pool, its per-wave plan threads, and ``TaskContext`` morsel
-  workers) do not inherit the submitter's thread-local.  The submitting
+  scheduler pool and its per-wave plan threads) do not inherit the
+  submitter's thread-local.  The submitting
   side calls :func:`capture_context` (one ``getattr``) and the worker runs
   the task through :func:`with_context`, which installs the captured span
   as the ambient parent for the duration of the call.
@@ -64,7 +64,7 @@ def capture_context() -> "tuple[Span | None, Tracer | None, Any] | None":
     :func:`with_context` stays one ``is None`` check.  The cancellation
     token rides along with the trace context because the two have exactly
     the same propagation problem: worker threads (scheduler pool, plan-wave
-    threads, morsel workers) do not inherit the submitter's thread-locals.
+    threads) do not inherit the submitter's thread-locals.
     """
     span = getattr(_ACTIVE, "span", None)
     tracer = getattr(_ACTIVE, "tracer", None)

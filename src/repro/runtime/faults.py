@@ -21,8 +21,8 @@ tests by instrumenting an engine *instance* in place:
 
 Instrumentation is per-instance monkeypatching rather than a wrapper object
 on purpose: islands and shims route by ``isinstance(engine, RelationalEngine)``
-and the scheduler pushes knobs (``parallelism``, ``task_credits``) straight
-onto engine attributes, so a proxy class would either break routing or have
+and the scheduler pushes knobs (``execution_mode``) straight onto engine
+attributes, so a proxy class would either break routing or have
 to forward every attribute both ways.  Installing bound closures on the
 instance keeps the engine's identity, class and attributes intact, and
 :meth:`~FaultInjector.uninstall` restores the original methods exactly.

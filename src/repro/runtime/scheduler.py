@@ -44,7 +44,6 @@ from repro.common.errors import (
     SimulatedCrashError,
     TransientEngineError,
 )
-from repro.common.parallel import WorkerCredits, resolve_parallelism
 from repro.common.schema import Relation
 from repro.core.bigdawg import BigDawg
 from repro.core.query.planner import BindingStep, CastStep, PlanExecution, QueryPlan
@@ -100,7 +99,6 @@ class PolystoreRuntime:
         cache_capacity: int = 256,
         engine_latency: float = 0.0,
         parallel_steps: bool = True,
-        parallelism: int | str = "auto",
         resilience: EngineResilience | None = None,
         serve_stale_on_open: bool = False,
         default_deadline_s: float | None = None,
@@ -194,12 +192,6 @@ class PolystoreRuntime:
         )
         self.engine_latency = engine_latency
         self.parallel_steps = parallel_steps
-        # Intra-query morsel parallelism: every relational engine gets the
-        # knob plus one shared fleet-wide extra-worker budget, so a single
-        # big join cannot grab `workers x parallelism` threads under load.
-        self.parallelism = parallelism
-        self.task_credits = WorkerCredits(max(0, resolve_parallelism(parallelism) - 1) * workers)
-        self.set_relational_parallelism(parallelism)
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="bigdawg-runtime"
         )
@@ -421,20 +413,6 @@ class PolystoreRuntime:
         for engine in self.bigdawg.catalog.engines():
             peak = max(peak, getattr(engine, "peak_build_bytes", 0))
         return peak
-
-    def set_relational_parallelism(self, value: int | str) -> None:
-        """Set every relational engine's intra-query worker count.
-
-        Each engine keeps borrowing extra workers from the runtime's shared
-        :class:`WorkerCredits` budget, so raising the knob never lets the
-        deployment exceed ``workers x parallelism`` busy threads.
-        """
-        resolve_parallelism(value)  # validates before touching any engine
-        self.parallelism = value
-        for engine in self.bigdawg.catalog.engines():
-            if hasattr(engine, "task_credits"):
-                engine.parallelism = value
-                engine.task_credits = self.task_credits
 
     def set_relational_execution_mode(self, mode: str) -> None:
         """Flip every relational engine in the polystore to one executor path.

@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.common.parallel import TaskContext
 from repro.common.serialization import BinaryCodec
 from repro.core.bigdawg import BigDawg
 from repro.engines.array import ArrayEngine
@@ -141,29 +140,12 @@ class TestTracer:
 
 
 class TestContextPropagation:
-    def test_task_context_workers_inherit_the_ambient_span(self, traced):
-        observed: list[object] = []
-
-        def work(item: int) -> int:
-            observed.append(current_span())
-            return item * 2
-
-        with traced.span("query") as span:
-            ctx = TaskContext(2)
-            try:
-                results = list(ctx.map_ordered(work, range(6)))
-            finally:
-                ctx.close()
-        assert results == [i * 2 for i in range(6)]
-        assert observed and all(s is span for s in observed)
-
     def test_morsel_probe_spans_attach_to_the_query_trace(self, traced):
         engine = sql_engine()
-        engine.parallelism = 2
         with traced.span("query", kind="lifecycle") as root:
             engine.execute(JOIN_SQL)
         probes = traced.spans("join.probe_morsel")
-        assert probes, "the parallel probe emitted no morsel spans"
+        assert probes, "the probe emitted no morsel spans"
         assert all(s.trace_id == root.trace_id for s in probes)
         # Operator spans ride along on the same trace.
         assert any(s.name.startswith("op.") for s in traced.spans())
@@ -180,12 +162,10 @@ class TestContextPropagation:
 
 
 class TestTracedResultsIdentical:
-    @pytest.mark.parametrize("scenario", ["plain", "parallel", "spill"])
+    @pytest.mark.parametrize("scenario", ["plain", "spill"])
     def test_tracing_never_changes_results(self, scenario):
         def build() -> RelationalEngine:
             engine = sql_engine()
-            if scenario == "parallel":
-                engine.parallelism = 2
             if scenario == "spill":
                 engine.join_memory_budget = 256
             return engine

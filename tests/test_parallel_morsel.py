@@ -1,47 +1,36 @@
-"""Tests for morsel-driven parallelism, radix partitioning and the spill join.
+"""Tests for the batch pipeline's radix partitioning and the spill join.
 
 Three contracts are under test:
 
-* **Invisibility.**  Worker count, partition count and the join memory
-  budget are pure performance knobs — results are byte-identical (through
-  the binary codec) to the serial, in-memory pipeline, including outer
-  joins, NULL-heavy keys and grouped aggregates.
+* **Invisibility.**  The join memory budget is a pure performance knob —
+  results are byte-identical (through the binary codec) to the in-memory
+  pipeline, including outer joins, NULL-heavy keys and grouped aggregates.
 * **Engagement.**  Under a small budget the join really does spill: the
   ``partitions_spilled`` counter moves and EXPLAIN tags the join
   ``[spill]`` when statistics predict the overflow.
-* **Plumbing.**  The runtime's ``parallelism`` knob reaches every
-  relational engine, borrows extra workers from one shared credit pool,
-  and the new counters surface in ``describe()``.
+* **Plumbing.**  The morsel, spill and build-size counters surface in the
+  runtime's ``describe()``.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 
 import numpy as np
 import pytest
 
 from repro.common.keycodes import partition_codes
-from repro.common.parallel import (
-    TaskContext,
-    WorkerCredits,
-    partition_count_for,
-    resolve_parallelism,
-)
 from repro.common.serialization import BinaryCodec
 from repro.engines.relational import RelationalEngine
 
 
 # ------------------------------------------------------------------ fixtures
 def make_engine(
-    parallelism: int | str = 1,
     budget: int | None = None,
     mode: str = "vectorized",
 ) -> RelationalEngine:
     """A deterministic two-table engine with NULL-heavy, skewed join keys."""
     e = RelationalEngine("pg", execution_mode=mode)
-    e.parallelism = parallelism
     e.join_memory_budget = budget
     e.execute(
         "CREATE TABLE events (id INTEGER PRIMARY KEY, user_id INTEGER, "
@@ -117,86 +106,28 @@ class TestPartitionCodes:
             partition_codes(np.array([1], dtype=np.int64), 0)
 
 
-# -------------------------------------------------------------- primitives
-class TestParallelPrimitives:
-    def test_resolve_parallelism(self):
-        assert resolve_parallelism(3) == 3
-        assert resolve_parallelism("auto") >= 1
-        assert resolve_parallelism(None) >= 1
-        with pytest.raises(ValueError):
-            resolve_parallelism(0)
-
-    def test_partition_count_is_power_of_two_at_least_workers(self):
-        for workers, expected in [(1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (8, 8)]:
-            assert partition_count_for(workers) == expected
-
-    def test_map_ordered_preserves_order_with_threads(self):
-        with TaskContext(4) as ctx:
-            out = list(ctx.map_ordered(lambda x: x * x, range(100)))
-        assert out == [x * x for x in range(100)]
-
-    def test_map_ordered_inline_when_serial(self):
-        ctx = TaskContext(1)
-        thread_ids = set()
-
-        def work(x):
-            thread_ids.add(threading.get_ident())
-            return x + 1
-
-        assert list(ctx.map_ordered(work, range(5))) == [1, 2, 3, 4, 5]
-        assert thread_ids == {threading.get_ident()}
-        ctx.close()
-
-    def test_run_all_returns_results_in_submission_order(self):
-        with TaskContext(4) as ctx:
-            results = ctx.run_all([lambda i=i: i * 10 for i in range(8)])
-        assert results == [i * 10 for i in range(8)]
-
-    def test_worker_credits_acquire_and_release(self):
-        credits = WorkerCredits(3)
-        assert credits.acquire_up_to(2) == 2
-        assert credits.acquire_up_to(5) == 1
-        assert credits.acquire_up_to(1) == 0
-        credits.release(3)
-        assert credits.available == 3
-
-    def test_task_context_close_returns_credits(self):
-        engine = RelationalEngine("pg")
-        engine.parallelism = 4
-        engine.task_credits = WorkerCredits(2)
-        ctx = engine.task_context()
-        assert ctx.workers == 3  # 1 own + 2 borrowed
-        assert engine.task_credits.available == 0
-        ctx.close()
-        assert engine.task_credits.available == 2
-
-    def test_exhausted_credits_degrade_to_serial(self):
-        engine = RelationalEngine("pg")
-        engine.parallelism = 4
-        engine.task_credits = WorkerCredits(0)
-        ctx = engine.task_context()
-        assert ctx.workers == 1
-        ctx.close()
-
-
 # ------------------------------------------------------------- spill joins
 class TestSpillJoin:
     @pytest.fixture(scope="class")
     def reference(self):
-        engine = make_engine(parallelism=1, budget=None)
+        engine = make_engine(budget=None)
         codec = BinaryCodec()
         return {q: codec.encode(engine.execute(q)) for q in JOIN_GROUP_QUERIES}
 
     @pytest.mark.parametrize("query", JOIN_GROUP_QUERIES)
     def test_spill_results_byte_identical(self, reference, query):
-        engine = make_engine(parallelism=1, budget=256)
+        engine = make_engine(budget=256)
         codec = BinaryCodec()
         assert codec.encode(engine.execute(query)) == reference[query]
 
-    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("partitions", [2, 5])
     @pytest.mark.parametrize("query", JOIN_GROUP_QUERIES)
-    def test_parallel_spill_results_byte_identical(self, reference, workers, query):
-        engine = make_engine(parallelism=workers, budget=256)
+    def test_spill_results_byte_identical_at_partition_count(
+        self, reference, partitions, query
+    ):
+        """The spill fan-out is invisible too, including a non-power-of-two."""
+        engine = make_engine(budget=256)
+        engine.join_spill_partitions = partitions
         codec = BinaryCodec()
         assert codec.encode(engine.execute(query)) == reference[query]
 
@@ -225,12 +156,12 @@ class TestSpillJoin:
         assert engine.partitions_spilled == 0
         assert engine.peak_build_bytes > 0
 
-    def test_explain_reports_parallel_header_and_spill_tag(self):
-        engine = make_engine(parallelism=2, budget=64)
+    def test_explain_reports_spill_tag(self):
+        engine = make_engine(budget=64)
         text = engine.explain(JOIN_GROUP_QUERIES[0])
-        assert "Parallel(workers=2, partitions=2)" in text
+        assert "Parallel(" not in text
         assert "[spill]" in text
-        unbudgeted = make_engine(parallelism=2, budget=None)
+        unbudgeted = make_engine(budget=None)
         assert "[spill]" not in unbudgeted.explain(JOIN_GROUP_QUERIES[0])
 
     def test_morsel_counter_moves(self):
@@ -240,21 +171,13 @@ class TestSpillJoin:
 
 
 # ---------------------------------------------------------------- group-by
-class TestParallelGroupBy:
-    def test_parallel_groupby_uses_partitioned_path(self):
-        engine = make_engine(parallelism=4)
+class TestGroupByPaths:
+    def test_groupby_takes_stream_path(self):
+        engine = make_engine()
         engine.execute(
             "SELECT user_id, sum(amount) FROM events GROUP BY user_id"
         )
-        assert engine.groupby_paths.get("stream_parallel", 0) > 0
-
-    def test_serial_groupby_keeps_stream_path(self):
-        engine = make_engine(parallelism=1)
-        engine.execute(
-            "SELECT user_id, sum(amount) FROM events GROUP BY user_id"
-        )
-        assert engine.groupby_paths.get("stream", 0) > 0
-        assert "stream_parallel" not in engine.groupby_paths
+        assert engine.groupby_paths == {"stream": 1}
 
     def test_aggregate_only_groupby_prunes_representatives(self):
         engine = make_engine()
@@ -296,16 +219,6 @@ class TestHavingOnlyAggregates:
             assert [r.values for r in rows] == [("a", 3)]
             # The synthesized HAVING aggregate never leaks into the output.
             assert [c.name for c in rows[0].schema.columns] == ["g", "max(v)"]
-
-    def test_having_only_parallel_parity(self):
-        codec = BinaryCodec()
-        serial = make_engine(parallelism=1)
-        parallel = make_engine(parallelism=4)
-        for query in self.QUERIES:
-            assert codec.encode(parallel.execute(query)) == codec.encode(
-                serial.execute(query)
-            )
-
 
 # ------------------------------------------------------- subquery pruning
 class TestSubqueryPruning:
@@ -356,8 +269,8 @@ class TestSubqueryPruning:
         assert optimized == baseline
 
 
-# ------------------------------------------------------------ runtime knob
-class TestRuntimeParallelism:
+# -------------------------------------------------------- runtime counters
+class TestRuntimeCounters:
     @pytest.fixture()
     def runtime(self):
         from repro.core.bigdawg import BigDawg
@@ -366,22 +279,11 @@ class TestRuntimeParallelism:
         bd = BigDawg()
         postgres = make_engine()
         bd.add_engine(postgres, islands=["relational"])
-        rt = PolystoreRuntime(bd, workers=2, parallelism=2)
+        rt = PolystoreRuntime(bd, workers=2)
         yield rt, postgres
         rt.shutdown()
 
-    def test_knob_reaches_engines_and_shares_credits(self, runtime):
-        rt, postgres = runtime
-        assert postgres.parallelism == 2
-        assert postgres.task_credits is rt.task_credits
-        rt.set_relational_parallelism(4)
-        assert postgres.parallelism == 4
-        rt.set_relational_parallelism("auto")
-        assert postgres.parallelism == "auto"
-        with pytest.raises(ValueError):
-            rt.set_relational_parallelism(0)
-
-    def test_describe_surfaces_parallel_counters(self, runtime):
+    def test_describe_surfaces_pipeline_counters(self, runtime):
         rt, postgres = runtime
         rt.execute("SELECT count(*) FROM events")
         postgres.join_memory_budget = 256
@@ -393,13 +295,3 @@ class TestRuntimeParallelism:
         assert metrics["relational_morsels_executed"] > 0
         assert metrics["relational_partitions_spilled"] > 0
         assert metrics["relational_peak_build_bytes"] >= 0
-
-    def test_runtime_results_match_across_parallelism(self, runtime):
-        rt, _ = runtime
-        codec = BinaryCodec()
-        query = JOIN_GROUP_QUERIES[5]
-        rt.set_relational_parallelism(1)
-        serial = codec.encode(rt.execute(query, use_cache=False))
-        rt.set_relational_parallelism(4)
-        parallel = codec.encode(rt.execute(query, use_cache=False))
-        assert serial == parallel

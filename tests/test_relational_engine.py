@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +145,46 @@ class TestHeapTable:
         table.truncate()
         assert len(table) == 0
         assert "idx_name" in table.indexes()
+
+    def test_concurrent_inserts_into_one_pk_table(self):
+        # The runtime admits two operations per engine at once; a tiny
+        # switch interval makes writers interleave inside row-id allocation
+        # and B+tree splits.
+        engine = RelationalEngine()
+        engine.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, b TEXT)")
+        threads_n, per_thread = 4, 500
+        errors: list[BaseException] = []
+
+        def writer(offset: int) -> None:
+            try:
+                for i in range(offset, offset + per_thread):
+                    engine.execute(f"INSERT INTO t VALUES ({i}, 'v{i}')")
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=writer, args=(n * per_thread,))
+                for n in range(threads_n)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:
+            sys.setswitchinterval(previous)
+        assert errors == []
+        total = threads_n * per_thread
+        table = engine.table("t")
+        row_ids = [row_id for row_id, _values in table.scan()]
+        assert len(row_ids) == total
+        assert len(set(row_ids)) == total
+        for key in range(total):
+            assert [values for _rid, values in table.index_lookup("__pk__", key)] == [
+                (key, f"v{key}")
+            ]
 
 
 # --------------------------------------------------------------------------- parser
@@ -365,6 +408,44 @@ class TestTransactions:
         engine.execute("DELETE FROM t WHERE id = 2")
         txn.rollback()
         assert engine.table_row_count("t") == 2
+
+    @staticmethod
+    def pk_engine() -> RelationalEngine:
+        engine = RelationalEngine()
+        engine.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, b TEXT)")
+        engine.execute("INSERT INTO t VALUES (1, 'x')")
+        return engine
+
+    def test_rollback_of_insert_then_delete_leaves_no_row(self):
+        engine = self.pk_engine()
+        txn = engine.begin()
+        engine.execute("INSERT INTO t VALUES (2, 'tmp')")
+        engine.execute("DELETE FROM t WHERE a = 2")
+        txn.rollback()
+        assert [r.values for r in engine.execute("SELECT * FROM t").rows] == [(1, "x")]
+        assert engine.table("t").index_lookup("__pk__", 2) == []
+
+    def test_rollback_of_delete_restores_row_id_and_pk_index(self):
+        engine = self.pk_engine()
+        engine.execute("INSERT INTO t VALUES (2, 'y')")
+        table = engine.table("t")
+        ((row_id, _values),) = table.index_lookup("__pk__", 2)
+        txn = engine.begin()
+        engine.execute("DELETE FROM t WHERE a = 2")
+        txn.rollback()
+        assert table.get(row_id) == (2, "y")
+        assert table.index_lookup("__pk__", 2) == [(row_id, (2, "y"))]
+        assert [r.values for r in engine.execute("SELECT b FROM t WHERE a = 2").rows] == [("y",)]
+
+    def test_rollback_of_insert_update_delete_leaves_no_row(self):
+        engine = self.pk_engine()
+        txn = engine.begin()
+        engine.execute("INSERT INTO t VALUES (2, 'tmp')")
+        engine.execute("UPDATE t SET b = 'changed' WHERE a = 2")
+        engine.execute("DELETE FROM t WHERE a = 2")
+        txn.rollback()
+        assert [r.values for r in engine.execute("SELECT * FROM t").rows] == [(1, "x")]
+        assert engine.table("t").index_lookup("__pk__", 2) == []
 
     def test_only_one_active_transaction(self):
         from repro.common.errors import TransactionError

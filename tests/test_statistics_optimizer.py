@@ -297,9 +297,6 @@ class TestStreamingGroupBy:
     def test_streaming_bounds_peak_resident_rows(self):
         groups = 100
         vec, row = self.make_pair(self.default_rows(20_000, groups))
-        # Pinned: "auto" resolves to the host's core count, and on more
-        # than one core the label would be "stream_parallel".
-        vec.parallelism = 1
         query = (
             "SELECT g, count(*) AS n, sum(v) AS s, avg(v) AS a, min(v) AS lo, "
             "max(big) AS hi FROM facts GROUP BY g"
@@ -573,8 +570,7 @@ class TestRuntimeMetrics:
         bd.add_engine(postgres, islands=["relational"])
         postgres.execute("CREATE TABLE t (a INTEGER, b INTEGER, g INTEGER)")
         postgres.insert_rows("t", [(i, i * 2, i % 3) for i in range(500)])
-        # parallelism=1: the "stream" label below is the serial path's.
-        with PolystoreRuntime(bd, workers=2, parallelism=1) as runtime:
+        with PolystoreRuntime(bd, workers=2) as runtime:
             runtime.execute(
                 "RELATIONAL(SELECT s.g FROM t s JOIN t u ON s.a = u.a LIMIT 1)"
             )

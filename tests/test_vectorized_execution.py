@@ -37,6 +37,7 @@ from repro.engines.relational.vectorized import (
     BatchExecutor,
     compile_filter_kernel,
 )
+from repro.observability.tracing import Tracer, set_tracer
 
 
 # ------------------------------------------------------------------ fixtures
@@ -107,6 +108,38 @@ QUERY_GRID = [
 ]
 
 
+#: Execution knobs that must never change a result: the batch size (many
+#: small morsels through every operator), the join memory budget (spilling,
+#: and re-spilling recursively at a 1-byte budget over two partitions), the
+#: legacy block group-by, the plan optimizer, and tracing.
+EXECUTION_KNOBS = [
+    "batch_64",
+    "batch_7",
+    "spill",
+    "spill_recursive",
+    "block_groupby",
+    "unoptimized",
+    "traced",
+]
+
+
+def make_knob_engine(knob: str) -> RelationalEngine:
+    """The vectorized grid engine with one execution knob turned."""
+    e = make_engine("vectorized")
+    if knob.startswith("batch_"):
+        e._batch_executor._batch_rows = int(knob.split("_")[1])
+    elif knob == "spill":
+        e.join_memory_budget = 256
+    elif knob == "spill_recursive":
+        e.join_memory_budget = 1
+        e.join_spill_partitions = 2
+    elif knob == "block_groupby":
+        e.streaming_groupby = False
+    elif knob == "unoptimized":
+        e.optimizer_enabled = False
+    return e
+
+
 class TestModeParity:
     """Property: both executors return identical relations for every query."""
 
@@ -138,56 +171,65 @@ class TestModeParity:
         assert codec.encode(vectorized.execute(query)) == codec.encode(row.execute(query))
 
     @pytest.fixture(scope="class")
-    def parallel_engines(self):
-        engines = {}
-        for workers in (1, 2, 4):
-            e = make_engine("vectorized")
-            e.parallelism = workers
-            engines[workers] = e
-        return engines
+    def knob_engines(self):
+        return {knob: make_knob_engine(knob) for knob in EXECUTION_KNOBS}
 
-    @pytest.fixture(scope="class")
-    def row_engine(self):
-        return make_engine("row")
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("knob", EXECUTION_KNOBS)
     @pytest.mark.parametrize("query", QUERY_GRID)
-    def test_vectorized_equals_row_at_explicit_parallelism(
-        self, parallel_engines, row_engine, workers, query
-    ):
-        """The parity grid at pinned worker counts, so the host's core count
-        never decides which code paths the grid exercises."""
-        result_v = parallel_engines[workers].execute(query)
-        result_r = row_engine.execute(query)
+    def test_vectorized_equals_row_under_knob(self, engines, knob_engines, knob, query):
+        """Execution knobs are invisible: under each one, every grid query
+        returns exactly the row executor's relation, down to the bytes."""
+        _, row = engines
+        engine = knob_engines[knob]
+        if knob == "traced":
+            previous = set_tracer(Tracer(enabled=True))
+            try:
+                result_v = engine.execute(query)
+            finally:
+                set_tracer(previous)
+        else:
+            result_v = engine.execute(query)
+        result_r = row.execute(query)
         assert result_v.schema == result_r.schema
         assert [r.values for r in result_v.rows] == [r.values for r in result_r.rows]
         codec = BinaryCodec()
         try:
             expected = codec.encode(result_r)
         except ValueError:
-            return  # unencodable schema on every path; values compared above
-        assert codec.encode(result_v) == expected
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("query", QUERY_GRID)
-    def test_byte_identical_across_worker_counts(
-        self, parallel_engines, workers, query
-    ):
-        """Morsel parallelism is invisible: every grid query returns the same
-        bytes at any worker count as the fully serial pipeline."""
-        serial = parallel_engines[1].execute(query)
-        parallel = parallel_engines[workers].execute(query)
-        assert parallel.schema == serial.schema
-        assert [r.values for r in parallel.rows] == [r.values for r in serial.rows]
-        codec = BinaryCodec()
-        try:
-            expected = codec.encode(serial)
-        except ValueError:
             # A pre-existing inference quirk (min over TEXT typed FLOAT)
             # makes a few grid schemas unencodable on every path; the exact
             # value comparison above already covers those.
             return
-        assert codec.encode(parallel) == expected
+        assert codec.encode(result_v) == expected
+
+    def test_every_knob_engages(self):
+        """Guards the knob grid against going vacuous: each knob really does
+        take its own path on a join plus a group-by."""
+        queries = [
+            "SELECT a.id, b.value FROM events a JOIN events b ON a.id = b.id",
+            "SELECT grp, count(*) AS n FROM events GROUP BY grp",
+        ]
+        ran = {}
+        for knob in [*EXECUTION_KNOBS, "default"]:
+            engine = make_knob_engine(knob)
+            tracer = Tracer(enabled=knob == "traced")
+            previous = set_tracer(tracer)
+            try:
+                for query in queries:
+                    engine.execute(query)
+            finally:
+                set_tracer(previous)
+            ran[knob] = (engine, tracer)
+        default = ran["default"][0]
+        assert ran["batch_64"][0].morsels_executed > default.morsels_executed
+        assert ran["batch_7"][0].morsels_executed > ran["batch_64"][0].morsels_executed
+        assert default.partitions_spilled == 0
+        assert ran["spill"][0].partitions_spilled > 0
+        assert ran["spill_recursive"][0].partitions_spilled > 2
+        assert "block" in ran["block_groupby"][0].groupby_paths
+        assert "block" not in default.groupby_paths
+        assert default.explain(queries[0]) != ran["unoptimized"][0].explain(queries[0])
+        assert ran["traced"][1].spans() and not ran["default"][1].spans()
 
     def test_update_delete_agree_across_modes(self):
         results = {}
