@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.common.errors import SchemaError, TypeMismatchError
-from repro.common.types import DataType, coerce, common_type, parse_type
+from repro.common.types import PYTHON_TYPES, DataType, coerce, common_type, parse_type
+
+_NONE_TYPE = type(None)
 
 
 @dataclass(frozen=True)
@@ -169,6 +171,35 @@ class Schema:
                 raise TypeMismatchError(f"column {col.name!r} is not nullable")
             out.append(coerce(value, col.dtype))
         return tuple(out)
+
+    def validate_columns(self, columns: Sequence[Sequence[Any]]) -> list[Sequence[Any]]:
+        """:meth:`validate_row` for a batch held as columns, one column at a time.
+
+        Runs the same checks: a NULL in a non-nullable column raises
+        :class:`TypeMismatchError`, and every value is coerced to its
+        column's type.  A column whose values all already have that type's
+        exact Python type (or are NULL) comes back as it is, since coercing
+        it would change nothing; any other column comes back as a new list.
+        """
+        if len(columns) != len(self._columns):
+            raise SchemaError(
+                f"column count {len(columns)} does not match schema width {len(self._columns)}"
+            )
+        if len({len(values) for values in columns}) > 1:
+            raise SchemaError("columns of one batch must have the same length")
+        out: list[Sequence[Any]] = []
+        for values, col in zip(columns, self._columns):
+            kinds = set(map(type, values))
+            if _NONE_TYPE in kinds:
+                if not col.nullable:
+                    raise TypeMismatchError(f"column {col.name!r} is not nullable")
+                kinds.discard(_NONE_TYPE)
+            if kinds <= {PYTHON_TYPES[col.dtype]}:
+                out.append(values)
+            else:
+                dtype = col.dtype
+                out.append([coerce(value, dtype) for value in values])
+        return out
 
 
 class Row:

@@ -5,11 +5,12 @@ The paper contrasts naive *file-based import/export* between engines with a
 
 * :class:`CsvCodec` — the file-based path: every value is rendered to text,
   written line by line, then re-parsed and re-coerced on the receiving side.
-* :class:`BinaryCodec` — the direct path: values are packed with ``struct``
-  into a compact binary frame that the receiver can decode without text
-  parsing.  All-numeric relations are packed *columnar* — one null-flag
-  vector plus one contiguous value buffer per column — so a frame of
-  waveform samples is a handful of bulk packs instead of a per-value loop.
+* :class:`BinaryCodec` — the direct path: every column is packed with
+  ``struct`` into a compact binary frame that the receiver decodes without
+  text parsing.  There is one frame layout, and it is *columnar*: per column
+  a null-flag vector and then the non-null values, contiguous (a length
+  vector plus one UTF-8 blob for TEXT).  A frame is a handful of bulk packs,
+  and it decodes straight into columns, never into rows.
 
 Both codecs also support the chunked CAST pipeline through
 ``encode_chunks`` / ``decode_chunks``: each chunk becomes one independent,
@@ -27,26 +28,16 @@ benchmarks compare like for like.
 from __future__ import annotations
 
 import io
+import itertools
 import struct
 from datetime import datetime, timezone
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.common.errors import CastError
-from repro.common.schema import Relation, Row, Schema
-from repro.common.types import DataType
-
-
-def _timestamp_to_epoch(value: Any) -> float:
-    """Convert a timestamp value to UTC epoch seconds.
-
-    Naive datetimes are treated as UTC wall-clock times; interpreting them in
-    local time would make the decoded instant depend on the host timezone.
-    """
-    if isinstance(value, datetime):
-        if value.tzinfo is None:
-            value = value.replace(tzinfo=timezone.utc)
-        return value.timestamp()
-    return float(value)
+from repro.common.schema import ColumnarRelation, Relation, Schema, object_view
+from repro.common.types import DataType, timestamp_to_epoch
 
 
 class ChunkedCodecMixin:
@@ -222,32 +213,29 @@ class CsvCodec(ChunkedCodecMixin):
 class BinaryCodec(ChunkedCodecMixin):
     """Compact binary encoding of a relation, modelling a direct binary CAST path.
 
-    Frame layout::
+    A frame is one header and then the columns, one after another::
 
         [u8 layout][u32 row_count][u32 column_count]
         for each column: [u8 type_tag]
+        for each column:
+            [u8 null flag x row_count]
+            then the non-null values, packed contiguously:
+            INTEGER  -> i64 each
+            FLOAT    -> f64 each
+            BOOLEAN  -> u8 each
+            TIMESTAMP-> f64 each (epoch seconds, UTC; naive datetimes read as UTC)
+            TEXT     -> u32 UTF-8 byte length each, then all the UTF-8 bytes
+                        as one blob
+            NULL     -> nothing
 
-    followed by, for ``layout == LAYOUT_ROW_MAJOR``, row-major packed values::
-
-        null flag (u8) then, when non-null,
-        INTEGER  -> i64
-        FLOAT    -> f64
-        BOOLEAN  -> u8
-        TIMESTAMP-> f64 (epoch seconds, UTC; naive datetimes treated as UTC)
-        TEXT     -> u32 length + utf-8 bytes
-
-    or, for ``layout == LAYOUT_COLUMNAR`` (chosen automatically when every
-    column is numeric), one column at a time::
-
-        [u8 null flag x row_count]
-        then the non-null values packed contiguously with one bulk
-        ``struct.pack`` (i64 / f64 / u8 as above)
-
-    The columnar layout is what makes large numeric CASTs cheap: encoding and
-    decoding are a few bulk packs per column instead of a per-value loop.
+    Every type is packed column-wise, so encoding and decoding are a few
+    bulk operations per column instead of a loop over values, and decode
+    hands back a :class:`~repro.common.schema.ColumnarRelation`: no row
+    object is built between the sender's columns and the receiver's.
     """
 
-    LAYOUT_ROW_MAJOR = 0
+    #: The layout byte every frame carries; a frame with any other value is
+    #: rejected.
     LAYOUT_COLUMNAR = 1
 
     _TYPE_TAGS = {
@@ -260,160 +248,116 @@ class BinaryCodec(ChunkedCodecMixin):
     }
     _TAG_TYPES = {v: k for k, v in _TYPE_TAGS.items()}
 
-    #: struct format character for each columnar-packable type.
-    _COLUMNAR_FORMATS = {
+    #: struct format character of each fixed-width type.
+    _FORMATS = {
         DataType.INTEGER: "q",
         DataType.FLOAT: "d",
         DataType.BOOLEAN: "B",
         DataType.TIMESTAMP: "d",
     }
 
-    def __init__(self, columnar: bool = True) -> None:
-        #: When True (the default) all-numeric relations are packed columnar;
-        #: False forces the row-major layout.  Relations with TEXT columns
-        #: always use row-major regardless.
-        self.columnar = columnar
+    #: What each fixed-width value is packed as.
+    _TO_PACKED = {
+        DataType.INTEGER: int,
+        DataType.FLOAT: float,
+        DataType.BOOLEAN: bool,
+        DataType.TIMESTAMP: timestamp_to_epoch,
+    }
 
     def encode(self, relation: Relation) -> bytes:
         schema = relation.schema
-        use_columnar = self.columnar and all(
-            c.dtype in self._COLUMNAR_FORMATS for c in schema
-        )
-        layout = self.LAYOUT_COLUMNAR if use_columnar else self.LAYOUT_ROW_MAJOR
         out = io.BytesIO()
-        out.write(struct.pack("<BII", layout, len(relation), len(schema)))
-        for col in schema:
-            out.write(struct.pack("<B", self._TYPE_TAGS[col.dtype]))
-        if layout == self.LAYOUT_COLUMNAR:
-            self._encode_columnar(out, relation)
-        else:
-            for row in relation:
-                for value, col in zip(row.values, schema):
-                    self._write_value(out, value, col.dtype)
+        out.write(struct.pack("<BII", self.LAYOUT_COLUMNAR, len(relation), len(schema)))
+        out.write(bytes(self._TYPE_TAGS[col.dtype] for col in schema))
+        for index, col in enumerate(schema):
+            # column_values hands back the stored column directly when the
+            # relation is columnar-backed (a chunk exported by the relational
+            # or array engine), so no row object is built on the way out.
+            column = relation.column_values(index)
+            if None in column:
+                out.write(bytes(1 if value is None else 0 for value in column))
+                values = [value for value in column if value is not None]
+            else:
+                out.write(bytes(len(column)))
+                values = column
+            if col.dtype is DataType.TEXT:
+                self._encode_text(out, values)
+            elif col.dtype is not DataType.NULL:
+                fmt = f"<{len(values)}{self._FORMATS[col.dtype]}"
+                out.write(struct.pack(fmt, *map(self._TO_PACKED[col.dtype], values)))
         return out.getvalue()
 
     def decode(self, payload: bytes, schema: Schema) -> Relation:
         view = memoryview(payload)
-        offset = 0
-        layout, row_count, col_count = struct.unpack_from("<BII", view, offset)
-        offset += 9
+        layout, row_count, col_count = struct.unpack_from("<BII", view, 0)
+        if layout != self.LAYOUT_COLUMNAR:
+            raise CastError(f"unknown binary frame layout {layout}")
         if col_count != len(schema):
             raise CastError(
                 f"binary frame has {col_count} columns but schema expects {len(schema)}"
             )
-        tags = []
-        for _ in range(col_count):
-            (tag,) = struct.unpack_from("<B", view, offset)
-            offset += 1
-            tags.append(self._TAG_TYPES[tag])
-        if layout == self.LAYOUT_COLUMNAR:
-            return self._decode_columnar(view, offset, row_count, tags, schema)
-        if layout != self.LAYOUT_ROW_MAJOR:
-            raise CastError(f"unknown binary frame layout {layout}")
-        relation = Relation(schema)
-        for _ in range(row_count):
-            values = []
-            for dtype in tags:
-                value, offset = self._read_value(view, offset, dtype)
-                values.append(value)
-            relation.append(values)
-        return relation
-
-    # ------------------------------------------------------------ columnar path
-    def _encode_columnar(self, out: io.BytesIO, relation: Relation) -> None:
-        for index, col in enumerate(relation.schema):
-            # column_values hands back the stored column directly when the
-            # relation is columnar-backed (e.g. a chunk streamed out of the
-            # relational engine's batch scan), so an all-numeric CAST never
-            # converts through per-row objects.
-            column = relation.column_values(index)
-            out.write(bytes(1 if value is None else 0 for value in column))
-            if col.dtype is DataType.TIMESTAMP:
-                packed = [_timestamp_to_epoch(v) for v in column if v is not None]
-            elif col.dtype is DataType.BOOLEAN:
-                packed = [1 if v else 0 for v in column if v is not None]
-            elif col.dtype is DataType.INTEGER:
-                packed = [int(v) for v in column if v is not None]
-            else:
-                packed = [float(v) for v in column if v is not None]
-            fmt = self._COLUMNAR_FORMATS[col.dtype]
-            out.write(struct.pack(f"<{len(packed)}{fmt}", *packed))
-
-    def _decode_columnar(self, view: memoryview, offset: int, row_count: int,
-                         tags: list[DataType], schema: Schema) -> Relation:
+        offset = 9
+        tags = [self._TAG_TYPES[tag] for tag in view[offset : offset + col_count]]
+        offset += col_count
         columns: list[list[Any]] = []
         for dtype in tags:
-            fmt = self._COLUMNAR_FORMATS.get(dtype)
-            if fmt is None:
-                raise CastError(f"columnar frames do not support type {dtype}")
             flags = bytes(view[offset : offset + row_count])
             offset += row_count
-            non_null = row_count - sum(flags)
-            values = struct.unpack_from(f"<{non_null}{fmt}", view, offset)
-            offset += struct.calcsize(f"<{non_null}{fmt}")
-            if dtype is DataType.TIMESTAMP:
-                values = [datetime.fromtimestamp(v, tz=timezone.utc) for v in values]
-            elif dtype is DataType.BOOLEAN:
-                values = [bool(v) for v in values]
-            column: list[Any] = []
-            it = iter(values)
-            for flag in flags:
-                column.append(None if flag else next(it))
-            columns.append(column)
-        relation = Relation(schema)
-        if tags == schema.types:
-            # The unpacked values already have the exact Python types the
-            # schema asks for; skip per-value re-validation so the decode
-            # stays a bulk operation.
-            rows = relation.rows
-            for values in zip(*columns) if columns else ():
-                rows.append(Row(schema, values))
+            non_null = row_count - flags.count(1)
+            if dtype is DataType.TEXT:
+                values, offset = self._decode_text(view, offset, non_null)
+            elif dtype is DataType.NULL:
+                values = []
+            else:
+                fmt = f"<{non_null}{self._FORMATS[dtype]}"
+                values = struct.unpack_from(fmt, view, offset)
+                offset += struct.calcsize(fmt)
+                if dtype is DataType.TIMESTAMP:
+                    values = [datetime.fromtimestamp(v, tz=timezone.utc) for v in values]
+                elif dtype is DataType.BOOLEAN:
+                    values = list(map(bool, values))
+            columns.append(self._scatter(values, flags, non_null))
+        if tags != schema.types:
+            # The frame was written for other column types: coerce, with the
+            # same checks a row-by-row append would run.
+            columns = schema.validate_columns(columns)
+        return ColumnarRelation(schema, columns, row_count)
+
+    @staticmethod
+    def _scatter(values: Sequence[Any], flags: bytes, non_null: int) -> list[Any]:
+        """Spread a column's non-null values over its rows, None elsewhere."""
+        if non_null == len(flags):
+            return list(values)
+        column = np.full(len(flags), None, dtype=object)
+        column[np.frombuffer(flags, dtype=np.uint8) == 0] = object_view(values)
+        return column.tolist()
+
+    @staticmethod
+    def _encode_text(out: io.BytesIO, values: Sequence[str]) -> None:
+        joined = "".join(values)
+        if joined.isascii():
+            # One character per byte: the lengths are the string lengths
+            # and the blob is the joined text.
+            lengths: Iterable[int] = map(len, values)
+            blob = joined.encode("ascii")
         else:
-            for values in zip(*columns) if columns else ():
-                relation.append(list(values))
-        return relation
+            encoded = [value.encode("utf-8") for value in values]
+            lengths = map(len, encoded)
+            blob = b"".join(encoded)
+        out.write(struct.pack(f"<{len(values)}I", *lengths))
+        out.write(blob)
 
-    # ----------------------------------------------------------- row-major path
-    def _write_value(self, out: io.BytesIO, value: Any, dtype: DataType) -> None:
-        if value is None:
-            out.write(b"\x01")
-            return
-        out.write(b"\x00")
-        if dtype is DataType.INTEGER:
-            out.write(struct.pack("<q", int(value)))
-        elif dtype is DataType.FLOAT:
-            out.write(struct.pack("<d", float(value)))
-        elif dtype is DataType.BOOLEAN:
-            out.write(struct.pack("<B", 1 if value else 0))
-        elif dtype is DataType.TIMESTAMP:
-            out.write(struct.pack("<d", _timestamp_to_epoch(value)))
-        elif dtype in (DataType.TEXT, DataType.NULL):
-            encoded = str(value).encode("utf-8")
-            out.write(struct.pack("<I", len(encoded)))
-            out.write(encoded)
-        else:  # pragma: no cover - exhaustive over DataType
-            raise CastError(f"unsupported type for binary encoding: {dtype}")
-
-    def _read_value(self, view: memoryview, offset: int, dtype: DataType) -> tuple[Any, int]:
-        (null_flag,) = struct.unpack_from("<B", view, offset)
-        offset += 1
-        if null_flag:
-            return None, offset
-        if dtype is DataType.INTEGER:
-            (value,) = struct.unpack_from("<q", view, offset)
-            return value, offset + 8
-        if dtype is DataType.FLOAT:
-            (value,) = struct.unpack_from("<d", view, offset)
-            return value, offset + 8
-        if dtype is DataType.BOOLEAN:
-            (value,) = struct.unpack_from("<B", view, offset)
-            return bool(value), offset + 1
-        if dtype is DataType.TIMESTAMP:
-            (stamp,) = struct.unpack_from("<d", view, offset)
-            return datetime.fromtimestamp(stamp, tz=timezone.utc), offset + 8
-        if dtype in (DataType.TEXT, DataType.NULL):
-            (length,) = struct.unpack_from("<I", view, offset)
-            offset += 4
-            raw = bytes(view[offset : offset + length])
-            return raw.decode("utf-8"), offset + length
-        raise CastError(f"unsupported type for binary decoding: {dtype}")
+    @staticmethod
+    def _decode_text(view: memoryview, offset: int, count: int) -> tuple[list[str], int]:
+        lengths = struct.unpack_from(f"<{count}I", view, offset)
+        offset += 4 * count
+        ends = list(itertools.accumulate(lengths))
+        size = ends[-1] if ends else 0
+        blob = bytes(view[offset : offset + size])
+        starts = [0, *ends[:-1]]
+        if blob.isascii():
+            text = blob.decode("ascii")
+            values = [text[a:b] for a, b in zip(starts, ends)]
+        else:
+            values = [blob[a:b].decode("utf-8") for a, b in zip(starts, ends)]
+        return values, offset + size

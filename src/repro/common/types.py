@@ -138,6 +138,31 @@ def coerce(value: Any, dtype: DataType) -> Any:
     raise TypeMismatchError(f"unhandled data type {dtype!r}")
 
 
+def timestamp_to_epoch(value: Any) -> float:
+    """Convert a timestamp value to UTC epoch seconds.
+
+    Naive datetimes are treated as UTC wall-clock times; interpreting them in
+    local time would make the instant depend on the host timezone.
+    """
+    if isinstance(value, datetime):
+        if value.tzinfo is None:
+            value = value.replace(tzinfo=timezone.utc)
+        return value.timestamp()
+    return float(value)
+
+
+#: The Python type a coerced value of each data type has (``coerce`` returns
+#: a value of exactly this type, or None).
+PYTHON_TYPES: dict[DataType, type] = {
+    DataType.INTEGER: int,
+    DataType.FLOAT: float,
+    DataType.TEXT: str,
+    DataType.BOOLEAN: bool,
+    DataType.TIMESTAMP: datetime,
+    DataType.NULL: type(None),
+}
+
+
 def is_numeric(dtype: DataType) -> bool:
     """Return True if the type participates in arithmetic."""
     return dtype in (DataType.INTEGER, DataType.FLOAT, DataType.BOOLEAN)

@@ -15,13 +15,13 @@ path, one decoded chunk) in memory, so the *wire* side of a CAST runs in
 bounded space.  Destination-side memory depends on the target: engines with
 incremental import (relational, key-value) consume each chunk as it arrives,
 while the array engine — which needs its dimension bounds before it can
-allocate — buffers the decoded cells until the stream ends.
+allocate — buffers the decoded columns until the stream ends.
 
 Three methods are supported:
 
 * ``method="binary"`` — the direct path: each chunk is framed with the
-  compact binary codec (columnar for all-numeric schemas) and decoded by the
-  receiver without text parsing.
+  compact columnar binary codec and decoded by the receiver, without text
+  parsing, into columns the destination imports as they are.
 * ``method="csv"``    — the file-based path: each chunk is rendered to
   delimited text (optionally staged through a real temporary file) and
   re-parsed on the way in.

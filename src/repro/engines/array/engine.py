@@ -19,14 +19,14 @@ from repro.common.errors import (
     ObjectNotFoundError,
     ParseError,
 )
-from repro.common.schema import Column, Relation, Schema
+from repro.common.schema import Relation, Schema
 from repro.common.types import DataType
 from repro.engines.array import operators as ops
 from repro.engines.array.aql import AqlCall, parse_aql
 from repro.engines.array.schema import ArraySchema, Attribute, Dimension
 from repro.engines.array.storage import StoredArray
 from repro.common.cancellation import check_cancelled
-from repro.engines.base import DEFAULT_CHUNK_ROWS, Engine, EngineCapability, relation_chunks
+from repro.engines.base import DEFAULT_CHUNK_ROWS, Engine, EngineCapability
 
 
 class ArrayEngine(Engine):
@@ -51,13 +51,7 @@ class ArrayEngine(Engine):
 
     def export_relation(self, name: str) -> Relation:
         """Flatten an array to rows: dimension coordinates then attribute values."""
-        array = self.array(name)
-        columns = [Column(d.name, DataType.INTEGER) for d in array.schema.dimensions]
-        columns += [Column(a.name, a.dtype) for a in array.schema.attributes]
-        relation = Relation(Schema(columns))
-        for coordinates, values in array.iter_cells():
-            relation.append(list(coordinates) + [values[a.name] for a in array.schema.attributes])
-        return relation
+        return self.array(name).to_relation()
 
     def import_relation(self, name: str, relation: Relation, **options: Any) -> None:
         """Build an array from a relation.
@@ -70,23 +64,24 @@ class ArrayEngine(Engine):
 
     def export_schema(self, name: str) -> Schema:
         """The relational schema of a flattened export, from metadata alone."""
-        array = self.array(name)
-        columns = [Column(d.name, DataType.INTEGER) for d in array.schema.dimensions]
-        columns += [Column(a.name, a.dtype) for a in array.schema.attributes]
-        return Schema(columns)
+        return self.array(name).relation_schema()
 
     def export_chunks(self, name: str, chunk_size: int = DEFAULT_CHUNK_ROWS) -> Iterator[Relation]:
-        """Stream populated cells as bounded chunks of flattened rows."""
-        array = self.array(name)
-        rows = (
-            list(coordinates) + [values[a.name] for a in array.schema.attributes]
-            for coordinates, values in array.iter_cells()
-        )
-        return relation_chunks(self.export_schema(name), rows, chunk_size)
+        """Stream populated cells as bounded columnar chunks of flattened rows."""
+        if chunk_size <= 0:
+            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+        relations = self.array(name).relations(chunk_size)
+
+        def generate() -> Iterator[Relation]:
+            for relation in relations:
+                check_cancelled()  # chunk boundary: cancelled exports stop here
+                yield relation
+
+        return generate()
 
     def import_chunks(self, name: str, schema: Schema, chunks: Iterable[Relation],
                       **options: Any) -> None:
-        """Accumulate cells chunk by chunk, then build the array once the
+        """Accumulate the chunks' columns, then build the array once the
         dimension bounds are known (arrays need their extent up front)."""
         if name.lower() in self._arrays and not options.get("replace", True):
             raise DuplicateObjectError(f"array {name!r} already exists")
@@ -95,20 +90,22 @@ class ArrayEngine(Engine):
         attr_columns = [c for c in schema.columns if c.name not in dim_columns]
         if not attr_columns:
             raise ExecutionError("importing an array requires at least one attribute column")
-        cells: list[tuple[tuple[int, ...], dict[str, Any]]] = []
-        bounds: list[tuple[int, int]] | None = None
+        dim_positions = [schema.index_of(d) for d in dim_columns]
+        attr_positions = [schema.index_of(c.name) for c in attr_columns]
+        coordinates: list[list[np.ndarray]] = [[] for _ in dim_columns]
+        values: list[list[Any]] = [[] for _ in attr_columns]
         for chunk in chunks:
-            for row in chunk:
-                coordinates = tuple(int(row[d]) for d in dim_columns)
-                if bounds is None:
-                    bounds = [(c, c) for c in coordinates]
-                else:
-                    bounds = [
-                        (min(lo, c), max(hi, c))
-                        for (lo, hi), c in zip(bounds, coordinates)
-                    ]
-                cells.append((coordinates, {c.name: row[c.name] for c in attr_columns}))
-        if bounds is None:
+            for parts, position in zip(coordinates, dim_positions):
+                parts.append(np.asarray(chunk.column_values(position), dtype=np.int64))
+            for column, position in zip(values, attr_positions):
+                column.extend(chunk.column_values(position))
+        dim_arrays = [
+            np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+            for parts in coordinates
+        ]
+        if dim_arrays[0].size:
+            bounds = [(int(array.min()), int(array.max())) for array in dim_arrays]
+        else:
             bounds = [(0, 0)] * len(dim_columns)
         dims = [
             Dimension(dim_name, low, high, min(chunk_length, high - low + 1))
@@ -116,8 +113,7 @@ class ArrayEngine(Engine):
         ]
         attributes = [Attribute(c.name, c.dtype) for c in attr_columns]
         stored = StoredArray(ArraySchema(name, dims, attributes))
-        for coordinates, values in cells:
-            stored.write_cell(coordinates, values)
+        stored.write_cells(dim_arrays, {c.name: column for c, column in zip(attr_columns, values)})
         self._arrays[name.lower()] = stored
 
     def drop_object(self, name: str) -> None:

@@ -10,12 +10,13 @@ a small structure that answers aggregate questions without touching the data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from repro.common.errors import SchemaError, UnsupportedOperationError
-from repro.common.types import DataType
+from repro.common.schema import Column, ColumnarRelation, Schema, object_view
+from repro.common.types import DataType, timestamp_to_epoch
 from repro.engines.array.schema import ArraySchema
 
 
@@ -78,11 +79,8 @@ class StoredArray:
 
     def write_cell(self, coordinates: tuple[int, ...], values: dict[str, Any]) -> None:
         """Write one cell's attribute values at the given dimension coordinates."""
-        indexes = self.schema.coordinates_to_indexes(coordinates)
-        for name, value in values.items():
-            self.buffer(name)[indexes] = value
-        self._present[indexes] = True
-        self._synopsis_dirty = True
+        self.write_cells([np.array([c]) for c in coordinates],
+                         {name: [value] for name, value in values.items()})
 
     def read_cell(self, coordinates: tuple[int, ...]) -> dict[str, Any] | None:
         """Read one cell; returns None for an empty cell."""
@@ -114,17 +112,100 @@ class StoredArray:
         slices = tuple(slice(lo, hi + 1) for lo, hi in zip(low_idx, high_idx))
         return self.buffer(attribute)[slices]
 
-    def iter_cells(self) -> Iterator[tuple[tuple[int, ...], dict[str, Any]]]:
-        """Yield (coordinates, values) for every populated cell, row-major."""
-        coords = np.argwhere(self._present)
-        offsets = [d.start for d in self.schema.dimensions]
-        for idx in coords:
-            coordinates = tuple(int(i) + off for i, off in zip(idx, offsets))
-            values = {}
-            for attribute in self.schema.attributes:
-                raw = self._buffers[attribute.name.lower()][tuple(idx)]
-                values[attribute.name] = raw.item() if hasattr(raw, "item") else raw
-            yield coordinates, values
+    def relation_schema(self) -> Schema:
+        """The relational schema of a flattened array: the dimension
+        coordinates, then the attributes."""
+        columns = [Column(d.name, DataType.INTEGER) for d in self.schema.dimensions]
+        columns += [Column(a.name, a.dtype) for a in self.schema.attributes]
+        return Schema(columns)
+
+    def relations(self, chunk_size: int | None = None) -> Iterator[ColumnarRelation]:
+        """The populated cells as relations of at most ``chunk_size`` rows
+        (one relation when None), in row-major order; nothing when the array
+        is empty.
+
+        The one flattener from array to relation: ``np.nonzero`` gives the
+        coordinates and a boolean gather of each buffer the attributes, so
+        no per-cell Python object is built before the final ``tolist``.
+        ``tolist`` of an int64, float64 or bool array yields exactly ``int``,
+        ``float`` or ``bool``; only object buffers and TIMESTAMP attributes
+        (stored as epoch seconds) go through
+        :meth:`Schema.validate_columns`, which coerces them to the column type
+        (UTC datetimes for TIMESTAMP).
+        """
+        schema = self.relation_schema()
+        present = self._present
+        arrays = [
+            indexes + dim.start
+            for indexes, dim in zip(np.nonzero(present), self.schema.dimensions)
+        ]
+        arrays += [self._buffers[a.name.lower()][present] for a in self.schema.attributes]
+        checked = [
+            i for i, (array, col) in enumerate(zip(arrays, schema))
+            if array.dtype == object or col.dtype is DataType.TIMESTAMP
+        ]
+        checked_schema = Schema([schema.columns[i] for i in checked])
+        total = len(arrays[0])
+        step = chunk_size or max(total, 1)
+        for start in range(0, total, step):
+            columns = [array[start : start + step].tolist() for array in arrays]
+            validated = checked_schema.validate_columns([columns[i] for i in checked])
+            for i, column in zip(checked, validated):
+                columns[i] = column
+            yield ColumnarRelation(schema, columns)
+
+    def to_relation(self) -> ColumnarRelation:
+        """The whole array flattened to one relation (see :meth:`relations`)."""
+        for relation in self.relations():
+            return relation
+        schema = self.relation_schema()
+        return ColumnarRelation(schema, [[] for _ in schema], 0)
+
+    def write_cells(self, coordinates: Sequence[np.ndarray], values: dict[str, list[Any]]) -> None:
+        """Bulk write: cell ``k`` sits at ``(coordinates[0][k], ...)`` and
+        takes ``values[attribute][k]`` for each named attribute.
+
+        When a coordinate repeats, the last cell written wins, as it would
+        writing the cells one by one.  A TIMESTAMP attribute stores UTC epoch
+        seconds (naive datetimes read as UTC).  An attribute that receives a
+        NULL switches to an object buffer, so the NULL survives instead of
+        turning into a number.
+        """
+        if len(coordinates) != self.schema.ndim:
+            raise SchemaError(f"expected {self.schema.ndim} coordinates, got {len(coordinates)}")
+        indexes = []
+        for coords, dim in zip(coordinates, self.schema.dimensions):
+            offsets = np.asarray(coords, dtype=np.int64) - dim.start
+            if offsets.size and (offsets.min() < 0 or offsets.max() >= dim.length):
+                raise SchemaError(
+                    f"coordinate outside dimension {dim.name!r} [{dim.start}, {dim.end}]"
+                )
+            indexes.append(offsets)
+        keep = None
+        if indexes[0].size > 1:
+            # numpy leaves the winner among repeated fancy indexes undefined,
+            # so when a cell repeats keep only its last occurrence.
+            flat = np.ravel_multi_index(indexes, self.schema.shape)
+            seen = np.zeros(self.schema.cell_count, dtype=np.bool_)
+            seen[flat] = True
+            if np.count_nonzero(seen) < flat.size:
+                _, first_reversed = np.unique(flat[::-1], return_index=True)
+                keep = np.sort(flat.size - 1 - first_reversed)
+                indexes = [offsets[keep] for offsets in indexes]
+        target = tuple(indexes)
+        for name, column in values.items():
+            attribute = self.schema.attribute(name)
+            if keep is not None:
+                column = object_view(column)[keep].tolist()
+            if attribute.dtype is DataType.TIMESTAMP:
+                column = [None if v is None else timestamp_to_epoch(v) for v in column]
+            key = attribute.name.lower()
+            buffer = self._buffers[key]
+            if buffer.dtype != object and None in column:
+                buffer = self._buffers[key] = buffer.astype(object)
+            buffer[target] = object_view(column) if buffer.dtype == object else column
+        self._present[target] = True
+        self._synopsis_dirty = True
 
     # ---------------------------------------------------------------- synopsis
     def synopsis(self, attribute: str) -> list[ChunkSynopsis]:

@@ -244,9 +244,9 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         if key in self._tables and not replace:
             raise DuplicateObjectError(f"table {name!r} already exists")
         table = HeapTable(name, schema, primary_key)
+        width = len(schema)
         for chunk in chunks:
-            for row in chunk:
-                table.insert(row.values)
+            table.insert_columns([chunk.column_values(i) for i in range(width)])
         self._tables[key] = table
         self.statistics.invalidate(name)
 

@@ -101,29 +101,60 @@ class HeapTable:
         """Validate, store and index one row. Returns the new row id."""
         validated = self.schema.validate_row(values)
         with self._lock:
-            pk = self._indexes.get("__pk__")
-            if pk is not None:
-                key = self._key_for(validated, pk[0])
-                if pk[1].search(key):
-                    raise ConstraintViolationError(
-                        f"duplicate primary key {key!r} in table {self.name!r}"
-                    )
+            self._check_primary_key(validated)
             row_id = self._next_row_id
             self._next_row_id += 1
             self._store(row_id, validated)
+            self._mutated()
         return row_id
+
+    def insert_columns(self, columns: Sequence[Sequence[Any]]) -> range:
+        """Validate, store and index a batch held as columns; returns the
+        new row ids.
+
+        The bulk form of :meth:`insert`: the batch is validated column-wise
+        (:meth:`Schema.validate_columns`), the lock is taken once and the
+        version moves once, while the primary key is still checked row by
+        row.  A duplicate key raises with the rows before it stored, as
+        inserting the rows one by one would leave them.
+        """
+        rows = list(zip(*self.schema.validate_columns(columns)))
+        with self._lock:
+            first = self._next_row_id
+            try:
+                if not self._indexes:
+                    self._rows.update(zip(itertools.count(first), rows))
+                    self._next_row_id += len(rows)
+                else:
+                    for values in rows:
+                        self._check_primary_key(values)
+                        self._store(self._next_row_id, values)
+                        self._next_row_id += 1
+            finally:
+                if self._next_row_id != first:
+                    self._mutated()
+        return range(first, self._next_row_id)
 
     def restore(self, row_id: int, values: tuple[Any, ...]) -> None:
         """Put a deleted row back under its original row id and re-index it
         (transaction rollback of a DELETE)."""
         with self._lock:
             self._store(row_id, values)
+            self._mutated()
+
+    def _check_primary_key(self, values: tuple[Any, ...]) -> None:
+        pk = self._indexes.get("__pk__")
+        if pk is not None:
+            key = self._key_for(values, pk[0])
+            if pk[1].search(key):
+                raise ConstraintViolationError(
+                    f"duplicate primary key {key!r} in table {self.name!r}"
+                )
 
     def _store(self, row_id: int, values: tuple[Any, ...]) -> None:
         self._rows[row_id] = values
         for columns, index in self._indexes.values():
             index.insert(self._key_for(values, columns), row_id)
-        self._mutated()
 
     def insert_many(self, rows: Sequence[Sequence[Any]]) -> list[int]:
         """Insert a batch of rows; returns their row ids."""
@@ -157,11 +188,23 @@ class HeapTable:
 
     def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
         """Yield (row_id, values) for every live row in insertion order."""
-        yield from self._rows.items()
+        yield from self._snapshot()
 
     def scan_values(self) -> Iterator[tuple[Any, ...]]:
         """Yield raw value tuples for every live row in insertion order."""
-        yield from self._rows.values()
+        for _row_id, values in self._snapshot():
+            yield values
+
+    def _snapshot(self) -> list[tuple[int, tuple[Any, ...]]]:
+        """The live ``(row_id, values)`` pairs, copied under the lock.
+
+        Readers iterate the copy, so a writer may change the row dict while
+        they run.  The copy itself needs the lock: building the item tuples
+        can start a garbage collection that runs Python code, which lets a
+        writer thread in mid-copy.
+        """
+        with self._lock:
+            return list(self._rows.items())
 
     @property
     def version(self) -> int:
@@ -198,7 +241,7 @@ class HeapTable:
 
     def rows(self) -> Iterator[Row]:
         """Yield :class:`Row` objects for every live row."""
-        for values in self._rows.values():
+        for _row_id, values in self._snapshot():
             yield Row(self.schema, values)
 
     def truncate(self) -> None:
@@ -298,7 +341,7 @@ class HeapTable:
     def apply_filter(self, predicate: Callable[[Row], bool]) -> list[int]:
         """Return row ids of rows matching a Python predicate (used by UPDATE/DELETE)."""
         matching = []
-        for row_id, values in self._rows.items():
+        for row_id, values in self._snapshot():
             if predicate(Row(self.schema, values)):
                 matching.append(row_id)
         return matching
@@ -310,4 +353,4 @@ class HeapTable:
         caller compiles the WHERE clause once and no per-row :class:`Row`
         objects are built while matching.
         """
-        return [row_id for row_id, values in self._rows.items() if predicate(values)]
+        return [row_id for row_id, values in self._snapshot() if predicate(values)]

@@ -42,6 +42,9 @@ class AgingPolicy:
     tuples_aged: int = 0
     _array: StoredArray | None = field(default=None, repr=False)
 
+    def __post_init__(self) -> None:
+        self.stream.hold_evicted()
+
     def _ensure_array(self) -> StoredArray:
         if self._array is not None:
             return self._array

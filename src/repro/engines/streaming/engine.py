@@ -218,7 +218,7 @@ class StreamingEngine(Engine):
         return {
             "streams": {name: len(stream) for name, stream in self._streams.items()},
             "procedures": {name: proc.invocations for name, proc in self._procedures.items()},
-            "committed_transactions": len(self.scheduler.committed),
+            "committed_transactions": self.scheduler.committed_count,
             "aborted_transactions": self.scheduler.aborted,
             "alerts": len(self.alerts),
             "snapshots": len(self.recovery.snapshots),

@@ -10,6 +10,7 @@ a dataflow graph of procedures with exactly-once, in-order semantics.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -79,9 +80,16 @@ class TransactionScheduler:
     and leaves state untouched.
     """
 
+    #: How many of the most recent commits :attr:`committed` keeps.
+    COMMITTED_LOG = 1024
+
     def __init__(self) -> None:
         self._txn_counter = itertools.count(1)
-        self.committed: list[CommittedTransaction] = []
+        #: The most recent commits, oldest first (bounded, so a long-running
+        #: feed does not keep one record per invocation ever made).
+        self.committed: deque[CommittedTransaction] = deque(maxlen=self.COMMITTED_LOG)
+        #: Every commit so far, including those the log no longer holds.
+        self.committed_count = 0
         self.aborted = 0
 
     def execute(
@@ -131,4 +139,5 @@ class TransactionScheduler:
                 alerts=len(context.alerts),
             )
         )
+        self.committed_count += 1
         return context

@@ -44,7 +44,10 @@ class Stream:
         self.schema = schema
         self.retention_seconds = retention_seconds
         self._tuples: deque[StreamTuple] = deque()
-        self._evicted: list[StreamTuple] = []
+        # Evicted tuples are held only for an aging policy to drain; with
+        # none attached (None here) they are dropped as they age out, so a
+        # stream's memory stays bounded by its retention window.
+        self._evicted: list[StreamTuple] | None = None
         self.total_appended = 0
 
     def __len__(self) -> int:
@@ -73,11 +76,24 @@ class Stream:
 
     def _evict(self, now: float) -> None:
         horizon = now - self.retention_seconds
-        while self._tuples and self._tuples[0].timestamp < horizon:
-            self._evicted.append(self._tuples.popleft())
+        tuples, evicted = self._tuples, self._evicted
+        while tuples and tuples[0].timestamp < horizon:
+            item = tuples.popleft()
+            if evicted is not None:
+                evicted.append(item)
+
+    def hold_evicted(self) -> None:
+        """Keep tuples that age out from now on, for :meth:`drain_evicted`
+        (an :class:`~repro.engines.streaming.aging.AgingPolicy` calls this
+        when it attaches to the stream)."""
+        if self._evicted is None:
+            self._evicted = []
 
     def drain_evicted(self) -> list[StreamTuple]:
-        """Return and clear tuples that have aged out (consumed by the aging policy)."""
+        """Return and clear tuples that have aged out (consumed by the aging
+        policy); always empty while no policy holds them."""
+        if self._evicted is None:
+            return []
         evicted, self._evicted = self._evicted, []
         return evicted
 

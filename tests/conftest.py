@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.mimic import MimicGenerator, build_polystore
 from repro.mimic.generator import MimicDataset
@@ -15,6 +16,14 @@ SMALL_GENERATOR = MimicGenerator(
     sample_rate_hz=50.0,
     anomaly_fraction=1.0,
     seed=42,
+)
+
+#: The CAST round-trip properties at full size, for CI
+#: (``pytest tests/test_cast_roundtrip_property.py --hypothesis-profile=cast-extended``);
+#: tier-1 runs them on a small fixed-seed sample.
+settings.register_profile(
+    "cast-extended", max_examples=400, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
 )
 
 

@@ -100,11 +100,63 @@ class TestStoredArray:
         block = small_array.read_block("value", (1, 10), (1, 19))
         assert block.shape == (1, 10)
 
-    def test_iter_cells_yields_coordinates(self, small_array):
-        cells = list(small_array.iter_cells())
-        assert len(cells) == 300
-        coordinates, values = cells[0]
-        assert len(coordinates) == 2 and "value" in values
+    def test_relations_yield_coordinates_then_attributes(self, small_array):
+        chunks = list(small_array.relations(128))
+        assert [len(chunk) for chunk in chunks] == [128, 128, 44]
+        assert chunks[0].schema.names == ["signal", "sample", "value"]
+        rows = [tuple(row.values) for chunk in chunks for row in chunk]
+        # Row-major order: the signal varies slowest.
+        assert [row[:2] for row in rows] == [(s, i) for s in range(3) for i in range(100)]
+        buffer = small_array.buffer("value")
+        assert all(value == buffer[s, i] and type(value) is float for s, i, value in rows)
+        whole = small_array.to_relation()
+        assert [tuple(row.values) for row in whole] == rows
+
+    def test_to_relation_of_empty_array(self):
+        schema = ArraySchema("a", [Dimension("i", 0, 3, 2)], [Attribute("v", "integer")])
+        relation = StoredArray(schema).to_relation()
+        assert len(relation) == 0 and relation.schema.names == ["i", "v"]
+        assert list(StoredArray(schema).relations(2)) == []
+
+    def test_write_cells_repeated_coordinate_last_write_wins(self):
+        schema = ArraySchema("a", [Dimension("i", 0, 9, 5)], [Attribute("v", "integer")])
+        array = StoredArray(schema)
+        coords = np.array([3, 1, 3, 7, 3, 1])
+        array.write_cells([coords], {"v": [10, 11, 12, 13, 14, 15]})
+        assert [tuple(r.values) for r in array.to_relation()] == [(1, 15), (3, 14), (7, 13)]
+
+    def test_write_cells_keeps_nulls_and_timestamps(self):
+        from datetime import datetime, timezone
+
+        schema = ArraySchema(
+            "a", [Dimension("i", 0, 2, 3)],
+            [Attribute("v", "float"), Attribute("at", "timestamp"), Attribute("ok", "boolean")],
+        )
+        array = StoredArray(schema)
+        aware = datetime(2020, 1, 1, 12, tzinfo=timezone.utc)
+        array.write_cells([np.array([0, 1, 2])], {
+            "v": [1.5, None, 2.5],
+            "at": [aware, datetime(2021, 6, 1), None],
+            "ok": [None, True, False],
+        })
+        assert array.buffer("at").dtype == object
+        rows = [tuple(r.values) for r in array.to_relation()]
+        assert rows == [
+            (0, 1.5, aware, None),
+            (1, None, datetime(2021, 6, 1, tzinfo=timezone.utc), True),
+            (2, 2.5, None, False),
+        ]
+        # Without NULLs a TIMESTAMP attribute stays a float64 buffer of epoch seconds.
+        plain = StoredArray(schema)
+        plain.write_cells([np.array([0])], {"v": [0.0], "at": [aware], "ok": [True]})
+        assert plain.buffer("at").dtype == np.float64
+        assert plain.buffer("at")[0] == aware.timestamp()
+        assert plain.to_relation().rows[0]["at"] == aware
+
+    def test_write_cells_rejects_out_of_bounds(self):
+        schema = ArraySchema("a", [Dimension("i", 0, 2, 3)], [Attribute("v", "float")])
+        with pytest.raises(SchemaError):
+            StoredArray(schema).write_cells([np.array([0, 3])], {"v": [1.0, 2.0]})
 
     def test_synopsis_counts_and_bounds(self, small_array):
         synopses = small_array.synopsis("value")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import CastError
-from repro.common.schema import Relation, Schema
+from repro.common.schema import ColumnarRelation, Relation, Schema
 from repro.common.serialization import BinaryCodec, CsvCodec
 
 
@@ -183,27 +183,47 @@ class TestColumnarLayout:
         decoded = BinaryCodec().decode(payload, schema)
         assert [tuple(r.values) for r in decoded] == [tuple(r.values) for r in relation]
 
-    def test_text_column_falls_back_to_row_major(self):
-        payload = BinaryCodec().encode(sample_relation())
-        assert payload[0] == BinaryCodec.LAYOUT_ROW_MAJOR
+    def test_text_column_is_packed_columnar(self):
+        original = sample_relation()
+        payload = BinaryCodec().encode(original)
+        assert payload[0] == BinaryCodec.LAYOUT_COLUMNAR
+        decoded = BinaryCodec().decode(payload, SCHEMA)
+        assert isinstance(decoded, ColumnarRelation)
+        assert [tuple(r.values) for r in decoded] == [tuple(r.values) for r in original]
 
-    def test_forced_row_major_roundtrips(self):
-        schema = Schema([("i", "integer"), ("v", "float")])
-        relation = Relation(schema, [[i, i * 0.5] for i in range(10)])
-        codec = BinaryCodec(columnar=False)
-        payload = codec.encode(relation)
-        assert payload[0] == BinaryCodec.LAYOUT_ROW_MAJOR
-        decoded = codec.decode(payload, schema)
-        assert [tuple(r.values) for r in decoded] == [tuple(r.values) for r in relation]
+    @pytest.mark.parametrize("texts", [
+        ["héllo", "日本語", "emoji 🚑", "ascii"],
+        ["", "", "x", ""],
+        ["a,b", "c,,d", ",", "tail,"],
+        ['say "hi"', '"', "'single'", '""'],
+        ["line\nbreak", "\r\n", "\n", "tab\tstop"],
+        ["nul\x00byte", "\x00", "a\x00b\x00", "\\N"],
+        ["é", None, "", None, "z", "ß,\"\n\x00"],
+    ], ids=["non-ascii", "empty", "commas", "quotes", "newlines", "nul", "mixed-null"])
+    def test_text_roundtrip(self, texts):
+        schema = Schema([("i", "integer"), ("s", "text")])
+        relation = Relation(schema, [[i, text] for i, text in enumerate(texts)])
+        decoded = BinaryCodec().decode(BinaryCodec().encode(relation), schema)
+        assert decoded.column("s") == texts
+        assert decoded.column("i") == list(range(len(texts)))
 
-    def test_columnar_and_row_major_decode_identically(self):
-        schema = Schema([("i", "integer"), ("v", "float")])
-        relation = Relation(schema, [[i, i * 0.5] for i in range(100)] + [[None, None]])
-        columnar = BinaryCodec().decode(BinaryCodec().encode(relation), schema)
-        row_major = BinaryCodec(columnar=False).decode(
-            BinaryCodec(columnar=False).encode(relation), schema
-        )
-        assert [tuple(r.values) for r in columnar] == [tuple(r.values) for r in row_major]
+    def test_all_null_text_column(self):
+        schema = Schema([("i", "integer"), ("s", "text")])
+        relation = Relation(schema, [[i, None] for i in range(5)])
+        decoded = BinaryCodec().decode(BinaryCodec().encode(relation), schema)
+        assert decoded.column("s") == [None] * 5
+        assert decoded.column("i") == list(range(5))
+
+    def test_zero_rows_with_text(self):
+        decoded = BinaryCodec().decode(BinaryCodec().encode(Relation(SCHEMA)), SCHEMA)
+        assert len(decoded) == 0
+        assert [decoded.column_values(i) for i in range(len(SCHEMA))] == [[]] * len(SCHEMA)
+
+    def test_unknown_layout_byte_is_rejected(self):
+        payload = bytearray(BinaryCodec().encode(sample_relation()))
+        payload[0] = 0
+        with pytest.raises(CastError):
+            BinaryCodec().decode(bytes(payload), SCHEMA)
 
     def test_columnar_frame_decoded_into_wider_schema_coerces(self):
         # When frame tags differ from the target schema, decode still coerces

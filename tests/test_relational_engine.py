@@ -186,6 +186,53 @@ class TestHeapTable:
                 (key, f"v{key}")
             ]
 
+    def test_scans_survive_concurrent_inserts(self):
+        # UPDATE/DELETE match their WHERE clause with a Python-level pass
+        # over the rows; an INSERT landing meanwhile must not break it.
+        engine = RelationalEngine()
+        engine.execute("CREATE TABLE t (a INTEGER, b TEXT)")
+        table = engine.table("t")
+        for i in range(300):
+            table.insert((i, f"v{i}"))
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def writer() -> None:
+            try:
+                for i in range(300, 6000):
+                    if done.is_set():
+                        return
+                    table.insert((i, f"v{i}"))
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        scans = [
+            lambda: sum(1 for _ in table.scan()),
+            lambda: sum(1 for _ in table.scan_values()),
+            lambda: sum(1 for _ in table.rows()),
+            lambda: table.apply_filter(lambda row: row["a"] < 0),
+            lambda: table.apply_filter_values(lambda values: values[0] < 0),
+            lambda: engine.execute("UPDATE t SET b = 'x' WHERE a < 0"),
+            lambda: engine.execute("DELETE FROM t WHERE a < 0"),
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=writer)
+            worker.start()
+            try:
+                for _ in range(6):
+                    for scan in scans:
+                        scan()
+            finally:
+                done.set()
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not worker.is_alive()
+        assert errors == []
+        assert sorted(values[0] for values in table.scan_values()) == list(range(len(table)))
+
 
 # --------------------------------------------------------------------------- parser
 class TestSqlParser:

@@ -37,12 +37,22 @@ class TestStream:
 
     def test_retention_evicts_old_tuples(self):
         stream = make_stream(retention=5.0)
+        stream.hold_evicted()
         for i in range(20):
             stream.append(float(i), (0, i, float(i)))
         assert stream.oldest_timestamp >= 19.0 - 5.0
         evicted = stream.drain_evicted()
         assert len(evicted) + len(stream) == 20
         assert stream.total_appended == 20
+
+    def test_evicted_tuples_are_dropped_without_an_aging_policy(self):
+        stream = make_stream(retention=5.0)
+        for i in range(50 * 5):  # fifty retention windows
+            stream.append(float(i), (0, i, float(i)))
+        assert stream._evicted is None
+        assert stream.drain_evicted() == []
+        assert len(stream) <= 6
+        assert stream.total_appended == 250
 
     def test_since(self):
         stream = make_stream()
@@ -101,6 +111,20 @@ class TestProceduresAndTransactions:
         assert engine.procedure_state("counter")["count"] == 25
         assert engine.procedure("counter").invocations == 25
         assert len(engine.scheduler.committed) == 25
+        assert engine.statistics()["committed_transactions"] == 25
+
+    def test_committed_log_stays_bounded(self):
+        engine = self.make_engine()
+        engine.register_procedure("noop", "feed", lambda ctx: None)
+        limit = engine.scheduler.COMMITTED_LOG
+        total = limit + 500
+        for i in range(total):
+            engine.append("feed", float(i), (0, i, 1.0))
+        committed = engine.scheduler.committed
+        assert len(committed) == limit
+        assert committed[-1].transaction_id == total
+        assert committed[0].transaction_id == total - limit + 1
+        assert engine.statistics()["committed_transactions"] == total
 
     def test_alerts_collected(self):
         engine = self.make_engine()
@@ -244,6 +268,17 @@ class TestAging:
         assert len(cold) + len(hot) == 200
         combined = policy.combined_series(0)
         np.testing.assert_allclose(combined, np.arange(200, dtype=float))
+
+    def test_attached_policy_ages_every_evicted_tuple(self):
+        engine = StreamingEngine()
+        stream = engine.create_stream("feed", FEED_SCHEMA, retention_seconds=1.0)
+        policy = AgingPolicy(stream, ArrayEngine("scidb"), "history", max_series=1, max_samples=5000)
+        engine.add_aging_policy(policy)
+        for i in range(5000):
+            engine.append("feed", i * 0.01, (0, i, float(i)))
+        assert policy.tuples_aged + len(stream) == 5000
+        assert stream.drain_evicted() == []
+        np.testing.assert_allclose(policy.combined_series(0), np.arange(5000, dtype=float))
 
     def test_engine_export_relation(self):
         engine = StreamingEngine()
